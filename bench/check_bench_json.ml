@@ -23,6 +23,9 @@ let check_micro path doc =
     | _ -> fail "%s: missing benchmarks object" path
   in
   if benchmarks = [] then fail "%s: benchmarks object is empty" path;
+  (match Option.bind (Json.member "host" doc) (Json.member "cores") with
+  | Some (Json.Int cores) when cores >= 1 -> ()
+  | _ -> fail "%s: missing host.cores (the core count the numbers were taken on)" path);
   List.iter
     (fun (name, entry) ->
       let field key =

@@ -523,10 +523,10 @@ let run_micro_benchmarks ~shards () =
     names
 
 (* ------------------------------------------------------------------ *)
-(* E22 — daemon throughput: the fork-N select-loop cluster             *)
+(* E22 — daemon throughput: the N-process select-loop cluster          *)
 (*                                                                     *)
 (* Unlike the in-process micro-benchmarks above, these instances time  *)
-(* the real `edb_cli serve` engine: N forked daemons over Unix-domain  *)
+(* the real `edb_cli serve` engine: N daemon processes over Unix-domain*)
 (* sockets, non-blocking writes, WAL group commit. Two rates per       *)
 (* anti-entropy fan-out (max_sessions = 1 / 4 / 8):                    *)
 (*                                                                     *)
@@ -544,6 +544,19 @@ let run_micro_benchmarks ~shards () =
 (* ------------------------------------------------------------------ *)
 
 module Harness = Edb_transport.Harness
+
+(* The daemons are `edb_cli serve` processes; dune builds edb_cli next
+   to this executable (the bench rules depend on it). *)
+let edb_cli =
+  lazy
+    (let exe =
+       Filename.concat
+         (Filename.dirname Sys.executable_name)
+         (Filename.concat Filename.parent_dir_name "bin/edb_cli.exe")
+     in
+     if not (Sys.file_exists exe) then
+       failwith (Printf.sprintf "daemon bench: %s not built (dune build bin/edb_cli.exe)" exe);
+     exe)
 
 let rec rm_rf path =
   match Unix.lstat path with
@@ -587,8 +600,8 @@ let run_daemon_fanout ~quick ~fanout =
      fan-out=1 saturates the CPU would flatten the very ratio the
      instances exist to show. *)
   let h =
-    Harness.start ~ae_period:0.02 ~seed:(41 + fanout) ~max_sessions:fanout
-      ~dir ~n ()
+    Harness.start ~exe:(Lazy.force edb_cli) ~ae_period:0.02 ~seed:(41 + fanout)
+      ~max_sessions:fanout ~dir ~n ()
   in
   Fun.protect
     ~finally:(fun () ->
@@ -706,6 +719,8 @@ let json_of_results ~quick experiments results =
           (if quick then "dune exec bench/main.exe -- --quick --json"
            else "dune exec bench/main.exe -- --json") );
       ("quick", Json.Bool quick);
+      (* The host shape every number above depends on. *)
+      ("host", Json.Obj [ ("cores", Json.Int (Domain.recommended_domain_count ())) ]);
       ("benchmarks", Json.Obj benchmarks);
       ( "experiments",
         Json.List (List.map (fun (_, table) -> Json.of_table table) experiments) );
@@ -761,7 +776,7 @@ let () =
   print_endline "=== Bechamel micro-benchmarks ===";
   print_newline ();
   let results = run_micro_benchmarks ~shards () in
-  print_endline "=== Daemon throughput (fork-N select-loop cluster) ===";
+  print_endline "=== Daemon throughput (N-process select-loop cluster) ===";
   print_newline ();
   let daemon = run_daemon_benchmarks ~quick () in
   let results =

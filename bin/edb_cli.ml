@@ -1069,7 +1069,9 @@ let cluster_cmd =
         (match kind with `Unix -> "unix" | `Tcp -> "tcp")
         dir;
       let h =
-        Harness.start ~kind ~seed ~max_runtime:(deadline +. 60.0) ~max_sessions ~dir ~n ()
+        (* The daemons are this executable's own `serve`. *)
+        Harness.start ~exe:Sys.executable_name ~kind ~seed ~max_runtime:(deadline +. 60.0)
+          ~max_sessions ~dir ~n ()
       in
       Fun.protect
         ~finally:(fun () -> Harness.shutdown h)

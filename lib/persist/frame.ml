@@ -338,52 +338,66 @@ let decode_push node ~src data =
 
 let max_stream_record = 1 lsl 26 (* 64 MiB: no legitimate frame comes close *)
 
-let to_wire frame =
-  let len = String.length frame in
+let wire_length record =
+  let len = String.length record in
   if len > max_stream_record then invalid_arg "Frame.to_wire: record too large";
-  let prefix = Bytes.create 4 in
-  Bytes.set_int32_le prefix 0 (Int32.of_int len);
-  Bytes.to_string prefix ^ frame
+  4 + len
+
+let blit_wire record buf off =
+  let len = String.length record in
+  Bytes.set_int32_le buf off (Int32.of_int len);
+  Bytes.blit_string record 0 buf (off + 4) len
+
+let to_wire record =
+  let buf = Bytes.create (wire_length record) in
+  blit_wire record buf 0;
+  Bytes.unsafe_to_string buf
 
 module Reader = struct
-  type t = {
-    mutable buf : Bytes.t;  (* accumulated unconsumed bytes *)
-    mutable len : int;  (* live bytes in [buf], starting at 0 *)
-  }
+  (* Unconsumed bytes are [buf.[pos, len)]: [next] only advances [pos],
+     and the consumed prefix is reclaimed once per [feed], so a chunk
+     carrying k records costs O(bytes), not O(k * bytes). *)
+  type t = { mutable buf : Bytes.t; mutable pos : int; mutable len : int }
 
-  let create () = { buf = Bytes.create 4_096; len = 0 }
+  (* Empty until the first feed sizes it: a connection that never
+     receives a record never allocates a buffer. *)
+  let create () = { buf = Bytes.empty; pos = 0; len = 0 }
 
-  let pending t = t.len
+  let pending t = t.len - t.pos
 
   let feed t ?(off = 0) ?len data =
     let len = match len with Some l -> l | None -> String.length data - off in
     if off < 0 || len < 0 || off + len > String.length data then
       invalid_arg "Frame.Reader.feed: bad slice";
-    let needed = t.len + len in
+    let live = pending t in
+    let needed = live + len in
     if needed > Bytes.length t.buf then begin
-      let cap = max needed (2 * Bytes.length t.buf) in
-      let bigger = Bytes.create cap in
-      Bytes.blit t.buf 0 bigger 0 t.len;
+      let bigger = Bytes.create (max needed (2 * Bytes.length t.buf)) in
+      Bytes.blit t.buf t.pos bigger 0 live;
       t.buf <- bigger
-    end;
-    Bytes.blit_string data off t.buf t.len len;
+    end
+    else if t.pos > 0 then Bytes.blit t.buf t.pos t.buf 0 live;
+    t.pos <- 0;
+    Bytes.blit_string data off t.buf live len;
     t.len <- needed
 
   let next t =
-    if t.len < 4 then None
+    if pending t < 4 then None
     else begin
-      let claimed = Int32.to_int (Bytes.get_int32_le t.buf 0) land 0xFFFFFFFF in
+      let claimed = Int32.to_int (Bytes.get_int32_le t.buf t.pos) land 0xFFFFFFFF in
       if claimed > max_stream_record then
         raise
           (R.Corrupt
              (Printf.sprintf "stream record claims %d bytes (max %d)" claimed
                 max_stream_record));
-      if t.len - 4 < claimed then None
+      if pending t - 4 < claimed then None
       else begin
-        let record = Bytes.sub_string t.buf 4 claimed in
-        let rest = t.len - 4 - claimed in
-        Bytes.blit t.buf (4 + claimed) t.buf 0 rest;
-        t.len <- rest;
+        let record = Bytes.sub_string t.buf (t.pos + 4) claimed in
+        t.pos <- t.pos + 4 + claimed;
+        if t.pos = t.len then begin
+          t.pos <- 0;
+          t.len <- 0
+        end;
         Some record
       end
     end

@@ -98,10 +98,20 @@ val to_wire : string -> string
     write to a stream. [Invalid_argument] beyond
     {!max_stream_record}. *)
 
+val wire_length : string -> int
+(** The length of [to_wire record], without building it.
+    [Invalid_argument] beyond {!max_stream_record}. *)
+
+val blit_wire : string -> Bytes.t -> int -> unit
+(** [blit_wire record buf off] writes [to_wire record] into [buf] at
+    [off] — the prefix and the record, one copy — for writers that
+    buffer output themselves. Reserve {!wire_length} bytes first. *)
+
 module Reader : sig
   type t
 
   val create : unit -> t
+  (** An empty reader; its buffer is allocated by the first {!feed}. *)
 
   val feed : t -> ?off:int -> ?len:int -> string -> unit
   (** Append a chunk (or the [off]/[len] slice of one) to the

@@ -18,13 +18,15 @@ module T = Socket_transport
    nothing in the loop may block: up to [max_sessions] initiator
    sessions are in flight at once (a table of per-peer state machines,
    each just another fd in the select set with its reply deadline and
-   backoff handled as timers), every connection is non-blocking with a
-   per-connection output buffer (writable-fd interest, partial-write
-   resumption), and the WAL group-commits once per loop turn — no
-   record buffered for a peer is released to the wire before the batch
-   holding its commit record is durable. The timeout/retry arithmetic
-   is the shared {!Transport.Flow}; the counter charges are the shared
-   {!Transport.Charge}. *)
+   backoff handled as timers), a session that completes parks its
+   connection in a per-peer idle cache for the next session to that
+   peer (dialing only when the cache is empty), every connection is
+   non-blocking with a per-connection output buffer (writable-fd
+   interest, partial-write resumption), and the WAL group-commits once
+   per loop turn — no record buffered for a peer is released to the
+   wire before the batch holding its commit record is durable. The
+   timeout/retry arithmetic is the shared {!Transport.Flow}; the
+   counter charges are the shared {!Transport.Charge}. *)
 
 module Config = struct
   type t = {
@@ -164,9 +166,9 @@ module Control = struct
 end
 
 (* An initiator-side session state machine, one per peer, at most
-   [max_sessions] at a time: either an attempt is in flight (a dialed
-   non-blocking connection with a reply deadline) or the session sits
-   in its backoff window waiting to re-dial. *)
+   [max_sessions] at a time: either an attempt is in flight (a request
+   outstanding on a non-blocking connection, with a reply deadline) or
+   the session sits in its backoff window waiting to re-dial. *)
 type session = {
   s_peer : int;
   mutable attempt : int;
@@ -194,6 +196,13 @@ type t = {
      first flush: a slow push peer accumulates buffered frames (up to
      the transport's cap) instead of stalling the loop. *)
   push_conns : (int, T.conn) Hashtbl.t;
+  (* Idle session connections, at most one per peer. Invariant: a
+     connection is here only while no request on it is outstanding and
+     nothing is buffered on it in either direction — it enters when its
+     session ends with a decoded reply or a nak, leaves when the next
+     session to that peer sends on it, and is closed instead on any
+     readable event while idle (EOF, error or stray bytes). *)
+  idle : (int, T.conn) Hashtbl.t;
   mutable next_ae : float;
   mutable next_push : float;
   mutable quit : bool;
@@ -210,8 +219,21 @@ let close_session_conn s =
     s.sconn <- None
   | None -> ()
 
+let drop_idle_conn t peer conn =
+  T.close_conn conn;
+  Hashtbl.remove t.idle peer
+
+(* The session ended with a decoded reply or a nak: its one request is
+   answered, so the connection goes back to the idle cache for the next
+   session to this peer — unless more bytes already follow the reply,
+   which no well-behaved peer sends and which the next session would
+   otherwise take for its own reply. *)
 let session_done t s =
-  close_session_conn s;
+  (match s.sconn with
+  | Some conn when T.pending_input conn = 0 ->
+    s.sconn <- None;
+    Hashtbl.replace t.idle s.s_peer conn
+  | _ -> close_session_conn s);
   Hashtbl.remove t.sessions s.s_peer
 
 (* A failed attempt — refused dial, send error, reply deadline passed,
@@ -233,33 +255,42 @@ let session_attempt_failed t s =
       Unix.gettimeofday ()
       +. Transport.Flow.jittered t.config.Config.retry backoff ~u:(Prng.float t.prng 1.0)
 
-let dial_session t s =
+let send_request t s conn =
   let nd = node t in
-  Transport.Charge.dial ~retry:(s.attempt > 0) (counters t);
+  (* Re-encode per attempt: fresh request id, current vectors. The
+     request only enters the connection's output buffer here; the
+     loop's flush phase drives it out. *)
+  let frame = Frame.encode_request nd ~dst:s.s_peer in
+  Transport.Charge.request nd frame;
+  match T.send conn (Transport.Record.frame frame) with
+  | Error _ ->
+    T.close_conn conn;
+    session_attempt_failed t s
+  | Ok () ->
+    s.sconn <- Some conn;
+    s.deadline <- Unix.gettimeofday () +. t.config.Config.retry.Transport.timeout
+
+(* One attempt: on the peer's idle connection when there is one, else
+   on a fresh non-blocking dial (the handshake is queued ahead of the
+   request, and a connect still in progress just reports [`Blocked]
+   until the kernel finishes it). Only real dials are charged. *)
+let attempt_session t s =
   s.retry_at <- 0.0;
-  (* Non-blocking dial: the handshake and request only enter the
-     connection's output buffer here; the loop's flush phase drives
-     them out, and a connect still in progress just reports [`Blocked]
-     until the kernel finishes it. *)
-  match T.dial t.transport ~peer:s.s_peer with
-  | Error _ -> session_attempt_failed t s
-  | Ok conn -> (
-    (* Re-encode per attempt: fresh request id, current vectors. *)
-    let frame = Frame.encode_request nd ~dst:s.s_peer in
-    Transport.Charge.request nd frame;
-    match T.send conn (Transport.Record.frame frame) with
-    | Error _ ->
-      T.close_conn conn;
-      session_attempt_failed t s
-    | Ok () ->
-      s.sconn <- Some conn;
-      s.deadline <- Unix.gettimeofday () +. t.config.Config.retry.Transport.timeout)
+  match Hashtbl.find_opt t.idle s.s_peer with
+  | Some conn ->
+    Hashtbl.remove t.idle s.s_peer;
+    send_request t s conn
+  | None -> (
+    Transport.Charge.dial ~retry:(s.attempt > 0) (counters t);
+    match T.dial t.transport ~peer:s.s_peer with
+    | Error _ -> session_attempt_failed t s
+    | Ok conn -> send_request t s conn)
 
 let start_session t ~peer =
   if not (Hashtbl.mem t.sessions peer) then begin
     let s = { s_peer = peer; attempt = 0; sconn = None; deadline = 0.0; retry_at = 0.0 } in
     Hashtbl.replace t.sessions peer s;
-    dial_session t s
+    attempt_session t s
   end
 
 let session_reply t s frame =
@@ -426,6 +457,7 @@ let create config =
           conns = [];
           sessions = Hashtbl.create 8;
           push_conns = Hashtbl.create 8;
+          idle = Hashtbl.create 8;
           (* Stagger first rounds so an N-process boot doesn't dial in
              lockstep. *)
           next_ae = now +. (config.Config.ae_period *. (1.0 +. (float_of_int id /. float_of_int n)));
@@ -486,7 +518,7 @@ let step t =
   List.iter
     (fun s ->
       if Hashtbl.mem t.sessions s.s_peer then
-        if s.sconn = None && s.retry_at > 0.0 && now >= s.retry_at then dial_session t s
+        if s.sconn = None && s.retry_at > 0.0 && now >= s.retry_at then attempt_session t s
         else if s.sconn <> None && now >= s.deadline then session_attempt_failed t s)
     (all_sessions t);
   if now >= t.next_ae then begin
@@ -524,11 +556,15 @@ let step t =
         t.sessions []
     in
     let push_streams = Hashtbl.fold (fun dst c acc -> (dst, c) :: acc) t.push_conns [] in
+    let idle_conns = Hashtbl.fold (fun peer c acc -> (peer, c) :: acc) t.idle [] in
     let listen_fds = match T.listen_fd t.transport with Some fd -> [ fd ] | None -> [] in
+    (* Idle connections stay in the read set: a peer killed while its
+       connection sits in the cache shows up as EOF at the next turn. *)
     let read_fds =
       listen_fds @ List.map T.fd t.conns
       @ List.map (fun (_, c) -> T.fd c) session_conns
       @ List.map (fun (_, c) -> T.fd c) push_streams
+      @ List.map (fun (_, c) -> T.fd c) idle_conns
     in
     (* Writable interest only where output is actually pending — a
        connection with a drained buffer costs select nothing. *)
@@ -543,6 +579,12 @@ let step t =
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
     let is_readable fd = List.memq fd readable in
+    (* An idle connection has nothing legitimate to read: whatever made
+       it readable — EOF, an error, stray bytes — retires it. *)
+    List.iter
+      (fun (peer, conn) ->
+        if is_readable (T.fd conn) then drop_idle_conn t peer conn)
+      idle_conns;
     (match T.listen_fd t.transport with
     | Some lfd when is_readable lfd ->
       let rec accept_loop () =
@@ -617,6 +659,8 @@ let shutdown t =
   drain ();
   List.iter (fun s -> close_session_conn s) (all_sessions t);
   Hashtbl.reset t.sessions;
+  Hashtbl.iter (fun _ conn -> T.close_conn conn) t.idle;
+  Hashtbl.reset t.idle;
   List.iter T.close_conn t.conns;
   t.conns <- [];
   Hashtbl.iter (fun _ conn -> T.close_conn conn) t.push_conns;

@@ -9,7 +9,13 @@
     [max_sessions] distinct random peers — every in-flight session is
     just another fd in the select set, its reply deadline, retries and
     abandonment handled as timers ({!Transport.Flow} arithmetic,
-    {!Transport.Charge} counters). Every connection is non-blocking
+    {!Transport.Charge} counters). A session that ends with a decoded
+    reply or a nak parks its connection in a per-peer idle cache, and
+    the next session to that peer sends on it: no dial, no handshake.
+    Cached connections stay in the select set, and any readable event
+    while idle (EOF, error, stray bytes) closes them, as do a timeout,
+    a send or flush error and a corrupt reply; only real dials are
+    charged to [connections_opened]. Every connection is non-blocking
     with a per-connection output buffer (writable-fd interest,
     partial-write resumption), so a slow peer never stops this node
     from serving; and the WAL group-commits once per loop turn — no
@@ -104,7 +110,7 @@ val node : t -> Edb_core.Node.t
 val listen_addr : t -> Socket_transport.addr option
 
 val step : t -> unit
-(** One select-loop iteration: fire due timers (anti-entropy dial,
+(** One select-loop iteration: fire due timers (anti-entropy session,
     session deadline or backoff, push flush, auto-checkpoint), then
     wait briefly for readiness and service every readable
     connection. *)

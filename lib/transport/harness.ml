@@ -7,8 +7,10 @@ module Snapshot = Edb_persist.Snapshot
 module Codec = Edb_persist.Codec
 module T = Socket_transport
 
-(* The multi-process harness: boot an N-daemon cluster (one [fork]ed
-   `serve` process per node), drive it over the control protocol, kill
+(* The multi-process harness: boot an N-daemon cluster (one `edb_cli
+   serve` process per node, started with [Unix.create_process] — never
+   [fork], which OCaml 5 refuses once the process has spawned a
+   domain), drive it over the control protocol, kill
    and restart daemons mid-run, and decide convergence from exported
    snapshots. It deliberately lives below [lib/check]: the invariant
    battery is injected by the caller ([await_converged ~invariant]), so
@@ -26,7 +28,7 @@ type proc = {
 type t = {
   n : int;
   procs : proc array;
-  make_config : int -> Daemon.Config.t;
+  argv : int -> string array;  (* `edb_cli serve` command line of node i *)
   client : T.t;
   controls : (int, T.conn) Hashtbl.t;
   control_timeout : float;
@@ -57,28 +59,11 @@ let free_tcp_ports count =
 let spawn t i =
   let proc = t.procs.(i) in
   assert (proc.pid = None);
-  let config = t.make_config i in
-  (* Flush before forking so buffered output is not emitted twice. *)
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-    (let code =
-       match Daemon.serve config with
-       | Ok () -> 0
-       | Error msg ->
-         Printf.eprintf "daemon %d: %s\n%!" i msg;
-         1
-       | exception e ->
-         Printf.eprintf "daemon %d: %s\n%!" i (Printexc.to_string e);
-         2
-     in
-     Unix._exit code)
-  | pid -> proc.pid <- Some pid
+  let argv = t.argv i in
+  proc.pid <- Some (Unix.create_process argv.(0) argv Unix.stdin Unix.stderr Unix.stderr)
 
-let start ?(kind = `Unix) ?(ae_period = 0.03) ?retry ?push ?(seed = 1)
-    ?(checkpoint_every = 0) ?(max_runtime = 120.0) ?(control_timeout = 5.0) ?max_sessions
-    ~dir ~n () =
+let start ~exe ?(kind = `Unix) ?(ae_period = 0.03) ?(seed = 1) ?(max_runtime = 120.0)
+    ?(control_timeout = 5.0) ?max_sessions ~dir ~n () =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let addrs =
@@ -99,18 +84,25 @@ let start ?(kind = `Unix) ?(ae_period = 0.03) ?retry ?push ?(seed = 1)
           pid = None;
         })
   in
-  let make_config i =
-    Daemon.Config.make ~ae_period ?retry ?push ~seed:(seed + (1000 * i)) ~checkpoint_every
-      ~max_runtime ?max_sessions ~id:i ~n ~dir:procs.(i).p_dir ~listen:addrs.(i)
-      ~peers:(List.filter (fun (j, _) -> j <> i) all_peers)
-      ()
+  let seconds = Printf.sprintf "%.17g" in
+  let argv i =
+    let peers =
+      List.concat_map
+        (fun (j, addr) ->
+          if j = i then [] else [ "--peer"; Printf.sprintf "%d=%s" j (T.addr_to_string addr) ])
+        all_peers
+    in
+    Array.of_list
+      ([ exe; "serve"; "--id"; string_of_int i; "--n"; string_of_int n; "--dir"; procs.(i).p_dir;
+         "--listen"; T.addr_to_string addrs.(i); "--ae-period"; seconds ae_period;
+         "--seed"; string_of_int (seed + (1000 * i)); "--max-runtime"; seconds max_runtime ]
+      @ (match max_sessions with Some k -> [ "--max-sessions"; string_of_int k ] | None -> [])
+      @ peers)
   in
   match T.create ~id:n ~peers:all_peers () with
   | Error msg -> failwith ("harness client endpoint: " ^ msg)
   | Ok client ->
-    let t =
-      { n; procs; make_config; client; controls = Hashtbl.create 8; control_timeout }
-    in
+    let t = { n; procs; argv; client; controls = Hashtbl.create 8; control_timeout } in
     for i = 0 to n - 1 do
       spawn t i
     done;

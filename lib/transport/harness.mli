@@ -1,7 +1,7 @@
 (** The multi-process cluster harness behind `edb_cli cluster`.
 
-    Boots N `serve` daemons (one [fork]ed process each, Unix-domain
-    sockets or TCP), drives them over the {!Daemon.Control} protocol,
+    Boots N `edb_cli serve` daemons (one process each, started with
+    [Unix.create_process]; Unix-domain sockets or TCP), drives them over the {!Daemon.Control} protocol,
     kills ([SIGKILL], nothing flushed) and restarts daemons mid-run —
     restart recovers from the WAL — and decides convergence by
     exporting every node's snapshot and comparing stores.
@@ -16,12 +16,10 @@ type kind = [ `Tcp | `Unix ]
 type t
 
 val start :
+  exe:string ->
   ?kind:kind ->
   ?ae_period:float ->
-  ?retry:Transport.retry_policy ->
-  ?push:Edb_push.Channel.config ->
   ?seed:int ->
-  ?checkpoint_every:int ->
   ?max_runtime:float ->
   ?control_timeout:float ->
   ?max_sessions:int ->
@@ -29,8 +27,10 @@ val start :
   n:int ->
   unit ->
   t
-(** Fork and boot the cluster under [dir] (created if missing; one
-    state subdirectory and — for [`Unix] — one socket per node).
+(** Boot the cluster under [dir] (created if missing; one state
+    subdirectory and — for [`Unix] — one socket per node), running
+    [exe serve ...] per node, where [exe] is the path of the [edb_cli]
+    executable.
     Daemons self-terminate after [max_runtime] (default 120 s), the
     harness's outermost hang guard. Control dials retry for
     [control_timeout] (default 5 s), covering daemon boot time.
@@ -62,7 +62,7 @@ val stop : t -> node:int -> unit
     the daemon ignores it). *)
 
 val restart : t -> node:int -> unit
-(** Fork the daemon again over its existing state directory; recovery
+(** Start the daemon again over its existing state directory; recovery
     replays checkpoint + WAL. No-op if still running. *)
 
 val agree : Edb_core.Node.t list -> bool

@@ -58,15 +58,17 @@ type conn = {
      handshake completes ([hs_need] reaches 0). *)
   mutable peer_id : int;
   reader : Frame.Reader.t;
-  chunk : Bytes.t;
   mutable conn_closed : bool;
   mutable nonblocking : bool;
-  (* Pending output. [send] on a non-blocking connection only appends
-     here (coalescing any number of records); [flush_output] pushes the
-     bytes with as few write(2) calls as the socket accepts, resuming
-     mid-record across calls via [out_pos] (the consumed prefix). *)
-  out : Buffer.t;
-  mutable out_pos : int;
+  (* Pending output is [out.[out_start, out_end)]. [send] on a
+     non-blocking connection writes the length prefix and the record
+     straight in at [out_end] (coalescing any number of records);
+     [flush_output] writes from [out_start] in place with as few
+     write(2) calls as the socket accepts, resuming mid-record across
+     calls. *)
+  mutable out : Bytes.t;
+  mutable out_start : int;
+  mutable out_end : int;
   (* Inbound handshake bytes still owed (accepted non-blocking
      connections read their 8-byte handshake through the same
      [read_into] path as records). *)
@@ -80,6 +82,13 @@ type conn = {
 let max_pending_output = 8 * 1024 * 1024
 
 let chunk_size = 65536
+
+(* One read buffer per domain, not per connection: [read_into] copies
+   what it reads into the connection's reassembly reader at once, so
+   the buffer is free again before the next read. A per-connection
+   64 KiB chunk is a major-heap allocation per dial, and the major GC
+   work it paces marks the whole replica. *)
+let read_chunk = Domain.DLS.new_key (fun () -> Bytes.create chunk_size)
 
 let magic = "EDB1"
 
@@ -188,14 +197,49 @@ let make_conn fd peer_id =
     fd;
     peer_id;
     reader = Frame.Reader.create ();
-    chunk = Bytes.create chunk_size;
     conn_closed = false;
     nonblocking = false;
-    out = Buffer.create 256;
-    out_pos = 0;
+    out = Bytes.create 256;
+    out_start = 0;
+    out_end = 0;
     hs_need = 0;
     hs_buf = Bytes.create handshake_len;
   }
+
+let pending_output conn = conn.out_end - conn.out_start
+
+let want_write conn = pending_output conn > 0
+
+(* Make room for [need] more bytes at [out_end]. The consumed prefix
+   is reclaimed in place only when it is at least as long as the live
+   suffix (so each compaction copies no more than was written out
+   since the last one); otherwise the buffer doubles. *)
+let reserve conn need =
+  let cap = Bytes.length conn.out in
+  if conn.out_end + need > cap then begin
+    let live = pending_output conn in
+    if conn.out_start >= live && live + need <= cap then
+      Bytes.blit conn.out conn.out_start conn.out 0 live
+    else begin
+      let bigger = Bytes.create (max (live + need) (2 * cap)) in
+      Bytes.blit conn.out conn.out_start bigger 0 live;
+      conn.out <- bigger
+    end;
+    conn.out_start <- 0;
+    conn.out_end <- live
+  end
+
+let append_string conn s =
+  let len = String.length s in
+  reserve conn len;
+  Bytes.blit_string s 0 conn.out conn.out_end len;
+  conn.out_end <- conn.out_end + len
+
+let append_record conn record =
+  let len = Frame.wire_length record in
+  reserve conn len;
+  Frame.blit_wire record conn.out conn.out_end;
+  conn.out_end <- conn.out_end + len
 
 let connect t ~peer =
   match List.assoc_opt peer t.peers with
@@ -276,7 +320,7 @@ let dial t ~peer =
            -> ());
           let conn = make_conn fd peer in
           conn.nonblocking <- true;
-          Buffer.add_string conn.out (encode_handshake t.ep_id);
+          append_string conn (encode_handshake t.ep_id);
           conn
         with
         | conn -> conn
@@ -311,57 +355,37 @@ let accept_nonblocking t =
     | exception Unix.Unix_error (e, fn, _) ->
       Error (Printf.sprintf "%s: %s" fn (Unix.error_message e)))
 
-let pending_output conn = Buffer.length conn.out - conn.out_pos
-
-let want_write conn = pending_output conn > 0
-
 let handshake_done conn = conn.hs_need = 0 && conn.peer_id >= 0
 
 (* Push buffered output out with as few write(2) calls as the socket
-   accepts. [`Blocked] (EAGAIN et al., including a connect still in
-   progress) leaves the unsent suffix for the next call — partial
-   writes resume at [out_pos], possibly mid-record; the receiving
-   Frame.Reader reassembles regardless of where the split landed. *)
+   accepts, straight from the buffer. [`Blocked] (EAGAIN et al.,
+   including a connect still in progress) leaves the unsent suffix for
+   the next call — partial writes resume at [out_start], possibly
+   mid-record; the receiving Frame.Reader reassembles regardless of
+   where the split landed. *)
 let flush_output conn =
-  let len = Buffer.length conn.out in
-  if conn.out_pos >= len then `Drained
-  else begin
-    let data = Buffer.to_bytes conn.out in
-    let result =
-      let rec loop () =
-        let remaining = len - conn.out_pos in
-        if remaining = 0 then `Drained
-        else
-          match Unix.write conn.fd data conn.out_pos remaining with
-          | 0 -> `Error "write: wrote 0 bytes"
-          | n ->
-            conn.out_pos <- conn.out_pos + n;
-            loop ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-          | exception
-              Unix.Unix_error
-                ( (Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINPROGRESS | Unix.ENOTCONN),
-                  _,
-                  _ ) -> `Blocked
-          | exception Unix.Unix_error (e, fn, _) ->
-            `Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
-      in
-      loop ()
-    in
-    (match result with
-    | `Drained ->
-      Buffer.clear conn.out;
-      conn.out_pos <- 0
-    | `Blocked when conn.out_pos > chunk_size ->
-      (* Compact a long-consumed prefix so a slow peer doesn't keep the
-         whole history buffered. *)
-      let rest = Bytes.sub_string data conn.out_pos (len - conn.out_pos) in
-      Buffer.clear conn.out;
-      Buffer.add_string conn.out rest;
-      conn.out_pos <- 0
-    | `Blocked | `Error _ -> ());
-    result
-  end
+  let rec loop () =
+    let remaining = pending_output conn in
+    if remaining = 0 then begin
+      conn.out_start <- 0;
+      conn.out_end <- 0;
+      `Drained
+    end
+    else
+      match Unix.write conn.fd conn.out conn.out_start remaining with
+      | 0 -> `Error "write: wrote 0 bytes"
+      | n ->
+        conn.out_start <- conn.out_start + n;
+        loop ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+      | exception
+          Unix.Unix_error
+            ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINPROGRESS | Unix.ENOTCONN), _, _) ->
+        `Blocked
+      | exception Unix.Unix_error (e, fn, _) ->
+        `Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
+  in
+  loop ()
 
 (* On a non-blocking connection [send] only buffers — no syscall — so
    records queued while a group-commit batch is open cannot reach the
@@ -373,7 +397,7 @@ let send conn record =
     if pending_output conn > max_pending_output then
       Error "output buffer overflow (slow peer)"
     else begin
-      Buffer.add_string conn.out (Frame.to_wire record);
+      append_record conn record;
       Ok ()
     end
   end
@@ -388,12 +412,13 @@ let send conn record =
    first 8 bytes are the peer's handshake and are consumed here before
    any record bytes reach the reader. *)
 let read_into conn =
-  match retry_eintr (fun () -> Unix.read conn.fd conn.chunk 0 chunk_size) with
+  let chunk = Domain.DLS.get read_chunk in
+  match retry_eintr (fun () -> Unix.read conn.fd chunk 0 chunk_size) with
   | 0 -> `Eof
   | n ->
     if conn.hs_need > 0 then begin
       let take = min conn.hs_need n in
-      Bytes.blit conn.chunk 0 conn.hs_buf (handshake_len - conn.hs_need) take;
+      Bytes.blit chunk 0 conn.hs_buf (handshake_len - conn.hs_need) take;
       conn.hs_need <- conn.hs_need - take;
       if conn.hs_need > 0 then `Data
       else
@@ -403,11 +428,11 @@ let read_into conn =
           conn.peer_id <- peer_id;
           if n > take then
             Frame.Reader.feed conn.reader ~off:take ~len:(n - take)
-              (Bytes.unsafe_to_string conn.chunk);
+              (Bytes.unsafe_to_string chunk);
           `Data
     end
     else begin
-      Frame.Reader.feed conn.reader ~len:n (Bytes.unsafe_to_string conn.chunk);
+      Frame.Reader.feed conn.reader ~len:n (Bytes.unsafe_to_string chunk);
       `Data
     end
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> `Data
@@ -415,6 +440,8 @@ let read_into conn =
     `Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
 
 let next_record conn = Frame.Reader.next conn.reader
+
+let pending_input conn = Frame.Reader.pending conn.reader
 
 let recv ?timeout conn =
   let deadline = Option.map (fun tmo -> Unix.gettimeofday () +. tmo) timeout in

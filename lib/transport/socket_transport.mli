@@ -55,11 +55,16 @@ val fd : conn -> Unix.file_descr
 
 val read_into : conn -> [ `Data | `Eof | `Error of string ]
 (** One [read(2)] into the connection's reassembly reader — call when
-    select reports the fd readable, then drain {!next_record}. *)
+    select reports the fd readable, then drain {!next_record}. The read
+    lands in one 64 KiB buffer per domain and is copied into the
+    connection's reader at once; connections own no read chunk. *)
 
 val next_record : conn -> string option
 (** The next complete buffered record, if any. Raises
     {!Edb_persist.Codec.Reader.Corrupt} on an unrecoverable stream. *)
+
+val pending_input : conn -> int
+(** Bytes read but not yet returned by {!next_record}. *)
 
 (** {1 Non-blocking surface}
 
@@ -99,6 +104,7 @@ val flush_output : conn -> [ `Drained | `Blocked | `Error of string ]
 (** Write as much pending output as the socket accepts. [`Blocked]
     means the socket would block (or the connect is still in
     progress) — retry when select reports the fd writable; the unsent
-    suffix, possibly starting mid-record, is kept. Sends on a
+    suffix, possibly starting mid-record, is kept and written in place
+    (each record is copied once, into the buffer). Sends on a
     non-blocking connection past an 8 MiB backlog fail instead of
     growing the buffer without bound. *)

@@ -2,9 +2,10 @@
    arithmetic, counter charges and frame dispatch that the simulation
    engine, the blocking session client and the socket daemon all run;
    the session client over the in-memory transport against the
-   in-process framed pull; and the real thing — multi-process daemons
-   over Unix-domain and TCP sockets, including kill -9 crash recovery
-   from the WAL. *)
+   in-process framed pull; the socket transport's output path and the
+   daemon's session-connection cache, in process; and the real thing —
+   multi-process daemons over Unix-domain and TCP sockets, including
+   kill -9 crash recovery from the WAL. *)
 
 module Node = Edb_core.Node
 module Message = Edb_core.Message
@@ -15,6 +16,7 @@ module Transport = Edb_transport.Transport
 module Sim_transport = Edb_transport.Sim_transport
 module Socket_transport = Edb_transport.Socket_transport
 module Harness = Edb_transport.Harness
+module Daemon = Edb_transport.Daemon
 module Invariant = Edb_check.Invariant
 module Session_client = Edb_transport.Session_client
 module Session = Session_client.Make (Edb_transport.Sim_transport)
@@ -254,6 +256,10 @@ let test_sim_dead_peer_abandons () =
 
 (* ---------- the socket transport, in one process ---------- *)
 
+let require = function
+  | Ok v -> v
+  | Error e -> Alcotest.fail e
+
 let temp_dir =
   lazy
     (let dir =
@@ -263,6 +269,11 @@ let temp_dir =
      in
      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
      dir)
+
+let cluster_dir name =
+  let dir = Filename.concat (Lazy.force temp_dir) name in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  dir
 
 (* One full session over a real Unix-domain socket: handshake, record
    framing across the stream, frame dispatch, reply — and the states
@@ -340,16 +351,236 @@ let test_socket_unix_session () =
       | Ok () -> ()
       | Error e -> Alcotest.fail ("invariants: " ^ e))
 
+(* The output path under heavy partial writes: records of random sizes
+   queued between flushes on a connection whose send buffer holds a
+   fraction of one record, so nearly every flush stops mid-record and
+   the next resumes there. The far side must reassemble every record
+   byte-identical, in order — and a peer that stops reading must hit
+   the 8 MiB backlog cap. *)
+let test_socket_output_partial_writes () =
+  let dir = cluster_dir "outbuf" in
+  let listen = Socket_transport.Unix_path (Filename.concat dir "out.sock") in
+  let server = require (Socket_transport.create ~listen ~id:0 ~peers:[] ()) in
+  let client = require (Socket_transport.create ~id:1 ~peers:[ (0, listen) ] ()) in
+  Fun.protect
+    ~finally:(fun () ->
+      Socket_transport.close server;
+      Socket_transport.close client)
+    (fun () ->
+      let tx = require (Socket_transport.dial client ~peer:0) in
+      Unix.setsockopt_int (Socket_transport.fd tx) Unix.SO_SNDBUF 4096;
+      let rec accept tries =
+        match Socket_transport.accept_nonblocking server with
+        | Ok (Some conn) -> conn
+        | Ok None when tries > 0 ->
+          Unix.sleepf 0.001;
+          accept (tries - 1)
+        | Ok None -> Alcotest.fail "dialed connection never arrived"
+        | Error e -> Alcotest.fail ("accept: " ^ e)
+      in
+      let rx = accept 5000 in
+      Unix.setsockopt_int (Socket_transport.fd rx) Unix.SO_RCVBUF 4096;
+      let prng = Edb_util.Prng.create ~seed:17 in
+      let total = 300 in
+      let sent = Queue.create () in
+      let queued = ref 0 and received = ref 0 and blocked = ref 0 in
+      let deadline = Unix.gettimeofday () +. 30.0 in
+      while !received < total do
+        if Unix.gettimeofday () > deadline then
+          Alcotest.failf "stalled after %d of %d records" !received total;
+        for _ = 0 to Edb_util.Prng.int prng 3 do
+          if !queued < total then begin
+            let len = Edb_util.Prng.int prng 20_000 in
+            let record = String.init len (fun _ -> Char.chr (Edb_util.Prng.int prng 256)) in
+            require (Socket_transport.send tx record);
+            Queue.push record sent;
+            incr queued
+          end
+        done;
+        (match Socket_transport.flush_output tx with
+        | `Drained -> ()
+        | `Blocked -> incr blocked
+        | `Error e -> Alcotest.fail ("flush: " ^ e));
+        match Socket_transport.read_into rx with
+        | `Eof | `Error _ -> Alcotest.fail "receiver lost the stream"
+        | `Data ->
+          let rec drain () =
+            match Socket_transport.next_record rx with
+            | Some record ->
+              if not (String.equal record (Queue.pop sent)) then
+                Alcotest.failf "record %d differs after reassembly" !received;
+              incr received;
+              drain ()
+            | None -> ()
+          in
+          drain ()
+      done;
+      Alcotest.(check int) "handshake identified the sender" 1 (Socket_transport.peer rx);
+      Alcotest.(check bool)
+        (Printf.sprintf "flushes stopped mid-stream (%d times)" !blocked)
+        true (!blocked >= 50);
+      Alcotest.(check int) "nothing left buffered" 0 (Socket_transport.pending_output tx);
+      (* A peer that stops reading: sends buffer up to the 8 MiB cap,
+         then fail instead of growing the buffer. *)
+      let mib = String.make (1 lsl 20) 'x' in
+      let rec fill accepted =
+        match Socket_transport.send tx mib with
+        | Ok () -> if accepted > 16 then accepted else fill (accepted + 1)
+        | Error _ -> accepted
+      in
+      Alcotest.(check int) "the 8 MiB backlog cap refuses the ninth MiB" 8 (fill 0);
+      Socket_transport.close_conn tx;
+      Socket_transport.close_conn rx)
+
+(* ---------- the daemon's session connections, in one process ---------- *)
+
+let daemon_sock dir id =
+  Socket_transport.Unix_path (Filename.concat dir (Printf.sprintf "d%d.sock" id))
+
+let create_daemon ?(ae_period = 0.002) ?retry ~dir ~id ~n peers =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  require
+    (Daemon.create
+       (Daemon.Config.make ~ae_period ?retry ~id ~n
+          ~dir:(Filename.concat dir (Printf.sprintf "node%d" id))
+          ~listen:(daemon_sock dir id) ~peers ()))
+
+(* Sessions are charged on the source side. *)
+let sessions_served d =
+  let c = Node.counters (Daemon.node d) in
+  c.Counters.propagation_sessions + c.Counters.noop_sessions
+
+(* Step daemons round-robin, one select turn each, until [until]
+   holds. *)
+let step_until ?(deadline = 20.0) daemons what until =
+  let stop = Unix.gettimeofday () +. deadline in
+  while not (until ()) do
+    if Unix.gettimeofday () > stop then Alcotest.failf "timed out waiting for %s" what;
+    List.iter Daemon.step daemons
+  done
+
+(* Two converged, write-free daemons in this process, stepped
+   alternately: every session is you-are-current. *)
+let with_quiet_pair name f =
+  let dir = cluster_dir name in
+  let a = create_daemon ~dir ~id:0 ~n:2 [ (1, daemon_sock dir 1) ] in
+  let b = create_daemon ~dir ~id:1 ~n:2 [ (0, daemon_sock dir 0) ] in
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.shutdown a;
+      Daemon.shutdown b)
+    (fun () -> f a b)
+
+(* A quiet pair keeps one session connection per direction: after the
+   first dial every session reuses the cached connection. *)
+let test_daemon_quiet_pair_reuses_connections () =
+  with_quiet_pair "quiet" (fun a b ->
+      step_until [ a; b ] "100 sessions each way" (fun () ->
+          sessions_served a >= 100 && sessions_served b >= 100);
+      List.iter
+        (fun d ->
+          let c = Node.counters (Daemon.node d) in
+          let id = Node.id (Daemon.node d) in
+          Alcotest.(check bool)
+            (Printf.sprintf "node %d dialed %d times for %d sessions" id
+               c.Counters.connections_opened (sessions_served d))
+            true
+            (c.Counters.connections_opened <= 2);
+          Alcotest.(check int) (Printf.sprintf "node %d: no timeouts" id) 0 c.Counters.timeouts)
+        [ a; b ])
+
+(* The mechanism behind the cheap you-are-current session: a quiet
+   session allocates nothing on the major heap (no per-dial 64 KiB read
+   chunk, no per-connection reader buffer), so it paces no major GC
+   work over the replica's heap. *)
+let test_daemon_quiet_session_major_heap () =
+  with_quiet_pair "quietgc" (fun a b ->
+      let total () = sessions_served a + sessions_served b in
+      (* Warm-up: connections dialed, buffers sized, wire v2 negotiated. *)
+      step_until [ a; b ] "warm-up sessions" (fun () -> total () >= 20);
+      let s0 = total () in
+      let w0 = (Gc.quick_stat ()).Gc.major_words in
+      step_until [ a; b ] "200 quiet sessions" (fun () -> total () - s0 >= 200);
+      let words = (Gc.quick_stat ()).Gc.major_words -. w0 in
+      let per_session = words /. float_of_int (total () - s0) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f major-heap words per quiet session (want < 1000)" per_session)
+        true (per_session < 1000.0))
+
+(* A peer that accepts and never replies. The attempt times out, its
+   connection is closed (never cached, never reused), and the next
+   attempt is a fresh dial charged as a connection retry. *)
+let test_daemon_mute_peer_redials () =
+  let dir = cluster_dir "mute" in
+  let listener =
+    require (Socket_transport.create ~listen:(daemon_sock dir 1) ~id:1 ~peers:[] ())
+  in
+  let retry =
+    { Transport.default_retry_policy with Transport.timeout = 0.2; backoff_base = 0.02; jitter = 0.0 }
+  in
+  let d = create_daemon ~ae_period:0.01 ~retry ~dir ~id:0 ~n:2 [ (1, daemon_sock dir 1) ] in
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.shutdown d;
+      Socket_transport.close listener)
+    (fun () ->
+      let c = Node.counters (Daemon.node d) in
+      (* Accepted connections: (conn, requests read, closed by the daemon). *)
+      let accepted = ref [] in
+      let poll () =
+        (match Socket_transport.accept_nonblocking listener with
+        | Ok (Some conn) -> accepted := !accepted @ [ (conn, ref 0, ref false) ]
+        | Ok None | Error _ -> ());
+        List.iter
+          (fun (conn, requests, eof) ->
+            if not !eof then
+              match Socket_transport.read_into conn with
+              | `Eof | `Error _ -> eof := true
+              | `Data ->
+                let rec drain () =
+                  match Socket_transport.next_record conn with
+                  | Some _ ->
+                    incr requests;
+                    drain ()
+                  | None -> ()
+                in
+                drain ())
+          !accepted
+      in
+      let pump what until =
+        let stop = Unix.gettimeofday () +. 10.0 in
+        while not (until ()) do
+          if Unix.gettimeofday () > stop then Alcotest.failf "timed out waiting for %s" what;
+          Daemon.step d;
+          poll ()
+        done
+      in
+      let nth i = List.nth !accepted i in
+      let requests_on i = match nth i with _, r, _ -> !r in
+      let closed i = match nth i with _, _, e -> !e in
+      pump "the first request" (fun () -> !accepted <> [] && requests_on 0 = 1);
+      Alcotest.(check int) "one dial" 1 c.Counters.connections_opened;
+      Alcotest.(check int) "not a retry" 0 c.Counters.connection_retries;
+      pump "the reply deadline" (fun () -> c.Counters.timeouts >= 1);
+      pump "the daemon to close the timed-out connection" (fun () -> closed 0);
+      pump "the next attempt" (fun () -> c.Counters.connections_opened >= 2);
+      Alcotest.(check int) "the next attempt dialed afresh" 2 c.Counters.connections_opened;
+      Alcotest.(check int) "and was charged as a connection retry" 1
+        c.Counters.connection_retries;
+      pump "the retried request" (fun () -> List.length !accepted >= 2 && requests_on 1 = 1);
+      Alcotest.(check int) "the timed-out connection carried one request only" 1
+        (requests_on 0))
+
 (* ---------- multi-process daemons ---------- *)
 
-let cluster_dir name =
-  let dir = Filename.concat (Lazy.force temp_dir) name in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  dir
+(* The daemons are `edb_cli serve` processes; dune builds edb_cli
+   before running this suite. *)
+let edb_cli =
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    (Filename.concat Filename.parent_dir_name "bin/edb_cli.exe")
 
-let require = function
-  | Ok v -> v
-  | Error e -> Alcotest.fail e
+let start_cluster = Harness.start ~exe:edb_cli
 
 let await h =
   match Harness.await_converged ~deadline:20.0 ~invariant:check_node h with
@@ -360,7 +591,7 @@ let await h =
    side replicate both ways through the anti-entropy timers, and the
    connection counters show real dials happened. *)
 let test_daemon_pair_converges () =
-  let h = Harness.start ~seed:21 ~dir:(cluster_dir "pair") ~n:2 () in
+  let h = start_cluster ~seed:21 ~dir:(cluster_dir "pair") ~n:2 () in
   Fun.protect
     ~finally:(fun () -> Harness.shutdown h)
     (fun () ->
@@ -381,7 +612,7 @@ let test_daemon_pair_converges () =
    is. The restarted daemon must recover its own pre-kill writes from
    the journal and catch up on what it missed through anti-entropy. *)
 let test_daemon_crash_recovery () =
-  let h = Harness.start ~seed:33 ~dir:(cluster_dir "crash") ~n:2 () in
+  let h = start_cluster ~seed:33 ~dir:(cluster_dir "crash") ~n:2 () in
   Fun.protect
     ~finally:(fun () -> Harness.shutdown h)
     (fun () ->
@@ -406,9 +637,38 @@ let test_daemon_crash_recovery () =
       Alcotest.(check bool) "survivor unscathed" true
         (require (Harness.read h ~node:0 ~item:"b.1") = Some "pre-kill one"))
 
+(* kill -9 a peer while its session connection sits idle in the
+   survivor's cache. The dead connection must be forgotten (it turns
+   readable at EOF), the survivor must re-dial the restarted peer, and
+   the pair must reconverge checker-clean with the acked pre-kill
+   write intact. *)
+let test_daemon_kill_idle_cached_peer () =
+  let h = start_cluster ~ae_period:0.01 ~seed:66 ~dir:(cluster_dir "idlekill") ~n:2 () in
+  Fun.protect
+    ~finally:(fun () -> Harness.shutdown h)
+    (fun () ->
+      let opened node = List.assoc "connections_opened" (require (Harness.counters_of h ~node)) in
+      require (Harness.update h ~node:1 ~item:"b.1" (set "acked before the kill"));
+      require (Harness.update h ~node:0 ~item:"a.0" (set "zero"));
+      await h;
+      (* Quiet: both session connections now sit in the idle caches
+         between ticks. *)
+      Unix.sleepf 0.05;
+      let dialed = opened 0 in
+      Harness.kill h ~node:1;
+      require (Harness.update h ~node:0 ~item:"c.0" (set "while down"));
+      Harness.restart h ~node:1;
+      await h;
+      Alcotest.(check bool) "acked pre-kill write survived" true
+        (require (Harness.read h ~node:1 ~item:"b.1") = Some "acked before the kill");
+      Alcotest.(check bool) "missed write caught up" true
+        (require (Harness.read h ~node:1 ~item:"c.0") = Some "while down");
+      Alcotest.(check bool) "the survivor re-dialed the restarted peer" true
+        (opened 0 > dialed))
+
 (* The same harness over TCP (kernel-chosen ports). *)
 let test_daemon_tcp_smoke () =
-  let h = Harness.start ~kind:`Tcp ~seed:44 ~dir:(cluster_dir "tcp") ~n:2 () in
+  let h = start_cluster ~kind:`Tcp ~seed:44 ~dir:(cluster_dir "tcp") ~n:2 () in
   Fun.protect
     ~finally:(fun () -> Harness.shutdown h)
     (fun () ->
@@ -492,7 +752,7 @@ let test_group_commit_sync_prefix () =
 let test_daemon_soak_concurrent () =
   let n = 5 in
   let h =
-    Harness.start ~ae_period:0.01 ~max_sessions:4 ~seed:55
+    start_cluster ~ae_period:0.01 ~max_sessions:4 ~seed:55
       ~dir:(cluster_dir "soak") ~n ()
   in
   Fun.protect
@@ -579,10 +839,20 @@ let suite =
       test_sim_dead_peer_abandons;
     Alcotest.test_case "socket: one session over a unix socket" `Quick
       test_socket_unix_session;
+    Alcotest.test_case "socket: partial writes reassemble byte-identical" `Quick
+      test_socket_output_partial_writes;
+    Alcotest.test_case "daemons: quiet pair reuses its session connections" `Quick
+      test_daemon_quiet_pair_reuses_connections;
+    Alcotest.test_case "daemons: quiet sessions allocate nothing major" `Quick
+      test_daemon_quiet_session_major_heap;
+    Alcotest.test_case "daemons: mute peer times out and re-dials" `Quick
+      test_daemon_mute_peer_redials;
     Alcotest.test_case "daemons: 2-process unix cluster converges" `Quick
       test_daemon_pair_converges;
     Alcotest.test_case "daemons: kill -9 recovery from the WAL" `Quick
       test_daemon_crash_recovery;
+    Alcotest.test_case "daemons: kill -9 of an idle cached peer" `Quick
+      test_daemon_kill_idle_cached_peer;
     Alcotest.test_case "daemons: tcp smoke" `Quick test_daemon_tcp_smoke;
     Alcotest.test_case "wal: group commit syncs an exact prefix" `Quick
       test_group_commit_sync_prefix;
