@@ -19,6 +19,39 @@ let steady =
 
 (* ---------- Golden run ---------- *)
 
+let builtin name =
+  match Scenario.builtin name with
+  | Some sc -> sc
+  | None -> Alcotest.failf "no %s builtin" name
+
+(* The steady run is session-grain and never reaches the message-grain
+   timeout/retry machinery, so two message-grain runs are pinned too:
+   by a digest of their whole emission, with the session-machinery
+   totals spelled out beside it so a failure shows what moved. *)
+let message_grain_pins =
+  [
+    ( "lossy-mesh",
+      "f8982ecaf9ef3434b3bf8bdcb18891a4",
+      [
+        ("timeouts", 143);
+        ("retries", 141);
+        ("sessions_abandoned", 2);
+        ("connections_opened", 537);
+        ("connection_retries", 141);
+        ("wire_bytes_sent", 176196);
+      ] );
+    ( "push-smoke",
+      "b71bc20bfed75c87427e18bc16a15908",
+      [
+        ("timeouts", 0);
+        ("retries", 0);
+        ("sessions_abandoned", 0);
+        ("connections_opened", 62);
+        ("connection_retries", 0);
+        ("wire_bytes_sent", 5404);
+      ] );
+  ]
+
 (* The committed BENCH_timeseries.json is exactly what
    `edb_cli scenario steady --json` emits: one fixed seed triple, one
    byte-for-byte emission. Any drift — in the engine's event order, the
@@ -32,7 +65,19 @@ let test_golden_run () =
   in
   let committed = read_file "../BENCH_timeseries.json" in
   Alcotest.(check string) "byte-identical to BENCH_timeseries.json" committed
-    emitted
+    emitted;
+  List.iter
+    (fun (name, digest, totals) ->
+      let r = Orchestrator.run (builtin name) in
+      List.iter
+        (fun (field, want) ->
+          Alcotest.(check int) (name ^ " " ^ field) want
+            ((List.assoc field Counters.fields) r.Orchestrator.totals))
+        totals;
+      Alcotest.(check string) (name ^ " emission digest") digest
+        (Digest.to_hex
+           (Digest.string (Orchestrator.to_string ~generated_by:"pin" r))))
+    message_grain_pins
 
 let test_determinism_same_seed () =
   let once () = Orchestrator.to_string ~generated_by:"g" (Orchestrator.run steady) in
