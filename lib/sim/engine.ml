@@ -2,7 +2,7 @@ module Prng = Edb_util.Prng
 module Driver = Edb_baselines.Driver
 module Counters = Edb_metrics.Counters
 module Transport = Edb_transport.Transport
-module Sim_transport = Edb_transport.Sim_transport
+module Initiator = Transport.Initiator
 
 type peer_policy = Random_peer | Ring
 
@@ -26,14 +26,15 @@ let default_retry_policy = Transport.default_retry_policy
 
 type transport = Session_grain | Message_grain of retry_policy
 
-(* One in-flight message-granular session. Completion removes the entry
-   from the table; everything arriving afterwards (late replies from
-   superseded attempts, duplicates) is still applied — the protocol
-   must be idempotent — but no longer drives the session machinery. *)
+(* One in-flight message-granular session, driving the shared
+   {!Transport.Initiator} machine. Completion removes the entry from the
+   table; everything arriving afterwards (late replies from superseded
+   attempts, duplicates) is still applied — the protocol must be
+   idempotent — but no longer drives the session machinery. *)
 type session_state = {
   s_src : int;  (* data source: answers the request *)
   s_dst : int;  (* initiator/recipient: sends the request, accepts the reply *)
-  mutable attempt : int;  (* 0-based attempt number *)
+  machine : Initiator.t;
 }
 
 type event =
@@ -42,8 +43,7 @@ type event =
   | Session_delivery of { src : int; dst : int }
   | Request_delivery of { sid : int; src : int; dst : int; msg : Driver.message }
   | Reply_delivery of { sid : int; src : int; dst : int; msg : Driver.message }
-  | Session_timeout of { sid : int; attempt : int }
-  | Session_retry of { sid : int }
+  | Session_timer of { sid : int }
   | Push_flush of { period : float; until : float }
   | Push_delivery of { src : int; dst : int; msg : Driver.message }
   | Crash of int
@@ -115,45 +115,45 @@ let granular t =
   | Some g -> g
   | None -> assert false (* checked in [create] *)
 
-(* One directed hop [from_] -> [to_] through {!Sim_transport.hop},
-   which owns the PRNG draw order (blocked short-circuits; then lost,
-   delay, duplicated, delay) that replayed explorer schedules depend
-   on — the session-grain path below consumes randomness in the same
-   pattern. *)
-let send_message t ~from_ ~to_ make_event =
-  Sim_transport.hop
-    ~blocked:(fun () -> Network.blocked t.network from_ to_)
-    ~lost:(fun () -> Network.lost t.network t.prng)
-    ~delay:(fun () -> Network.delay t.network t.prng)
-    ~duplicated:(fun () -> Network.duplicated t.network t.prng)
-    ~deliver:(fun delay -> schedule_after t ~delay (make_event ()))
+(* One directed hop [from_] -> [to_] carrying [event], faulted with
+   draws from [prng] — the main stream, or [push_prng] for push frames.
+   The draw order is load-bearing, since replayed explorer schedules
+   depend on it: a blocked pair short-circuits every draw; otherwise
+   draw loss, then a delay for the delivery, then duplication, then a
+   delay for the duplicate. [false] when nothing was scheduled. *)
+let send t ~prng ~from_ ~to_ event =
+  (not (Network.blocked t.network from_ to_))
+  && (not (Network.lost t.network prng))
+  && begin
+       let delay = Network.delay t.network prng in
+       schedule_after t ~delay event;
+       if Network.duplicated t.network prng then
+         schedule_after t ~delay:(Network.delay t.network prng) event;
+       true
+     end
 
-(* Like [send_message], but all draws come from the dedicated push
-   stream — see the [push_prng] field note. *)
-let send_push t ~from_ ~to_ make_event =
-  Sim_transport.hop
-    ~blocked:(fun () -> Network.blocked t.network from_ to_)
-    ~lost:(fun () -> Network.lost t.network t.push_prng)
-    ~delay:(fun () -> Network.delay t.network t.push_prng)
-    ~duplicated:(fun () -> Network.duplicated t.network t.push_prng)
-    ~deliver:(fun delay -> schedule_after t ~delay (make_event ()))
-
-(* (Re)issue one session attempt: build the request at the initiator,
-   put it on the wire toward the source, and start the attempt's
-   timeout clock. A dead initiator sends nothing, but the timeout still
-   runs so the session eventually completes or abandons. *)
-let send_request t ~policy sid st =
-  if t.alive.(st.s_dst) then begin
-    (* Each attempt is one transport dial, charged like the socket
-       transport charges connect(2): first send opens, re-sends after a
-       timeout are the retry subset. *)
-    Transport.Charge.dial ~retry:(st.attempt > 0)
-      (t.driver.Driver.counters ~node:st.s_dst);
-    let msg = (granular t).Driver.make_request ~dst:st.s_dst ~src:st.s_src in
-    send_message t ~from_:st.s_dst ~to_:st.s_src (fun () ->
-        Request_delivery { sid; src = st.s_src; dst = st.s_dst; msg })
-  end;
-  schedule_after t ~delay:policy.timeout (Session_timeout { sid; attempt = st.attempt })
+(* Carry out one action of session [sid]'s machine. A send is one
+   transport dial, charged like the socket transport charges connect(2):
+   the first opens, re-sends after a timeout are the retry subset. A
+   dead initiator sends nothing, but its deadline is still armed so the
+   session eventually completes or abandons. *)
+let rec drive t sid st = function
+  | Initiator.Send attempt ->
+    if t.alive.(st.s_dst) then begin
+      Transport.Charge.dial ~retry:(attempt > 0) (t.driver.Driver.counters ~node:st.s_dst);
+      let msg = (granular t).Driver.make_request ~dst:st.s_dst ~src:st.s_src in
+      ignore
+        (send t ~prng:t.prng ~from_:st.s_dst ~to_:st.s_src
+           (Request_delivery { sid; src = st.s_src; dst = st.s_dst; msg }))
+    end;
+    drive t sid st (Initiator.sent st.machine ~now:t.now)
+  | Initiator.Wake_at at -> schedule t ~at (Session_timer { sid })
+  | Initiator.Completed ->
+    t.sessions_attempted <- t.sessions_attempted + 1;
+    Hashtbl.remove t.sessions sid
+  | Initiator.Abandoned ->
+    t.sessions_lost <- t.sessions_lost + 1;
+    Hashtbl.remove t.sessions sid
 
 let rec execute t event =
   match event with
@@ -169,9 +169,10 @@ let rec execute t event =
       if t.alive.(dst) then begin
         let sid = t.next_sid in
         t.next_sid <- sid + 1;
-        let st = { s_src = src; s_dst = dst; attempt = 0 } in
+        let machine, first = Initiator.start policy in
+        let st = { s_src = src; s_dst = dst; machine } in
         Hashtbl.add t.sessions sid st;
-        send_request t ~policy sid st
+        drive t sid st first
       end
       else t.sessions_lost <- t.sessions_lost + 1
     | Session_grain ->
@@ -179,17 +180,10 @@ let rec execute t event =
          pair is not partitioned; the network may still lose it, and may
          deliver it twice (each copy with its own delay). *)
       if
-        t.alive.(src) && t.alive.(dst)
-        && (not (Network.blocked t.network src dst))
-        && not (Network.lost t.network t.prng)
-      then begin
-        schedule_after t ~delay:(Network.delay t.network t.prng)
-          (Session_delivery { src; dst });
-        if Network.duplicated t.network t.prng then
-          schedule_after t ~delay:(Network.delay t.network t.prng)
-            (Session_delivery { src; dst })
-      end
-      else t.sessions_lost <- t.sessions_lost + 1)
+        not
+          (t.alive.(src) && t.alive.(dst)
+          && send t ~prng:t.prng ~from_:src ~to_:dst (Session_delivery { src; dst }))
+      then t.sessions_lost <- t.sessions_lost + 1)
   | Session_delivery { src; dst } ->
     (* Endpoints may have died while the session was in flight. *)
     if t.alive.(src) && t.alive.(dst) then begin
@@ -204,8 +198,8 @@ let rec execute t event =
        replies; both are charged — that is the honest message cost. *)
     if t.alive.(src) then begin
       let reply = (granular t).Driver.make_reply ~src ~dst msg in
-      send_message t ~from_:src ~to_:dst (fun () ->
-          Reply_delivery { sid; src; dst; msg = reply })
+      ignore
+        (send t ~prng:t.prng ~from_:src ~to_:dst (Reply_delivery { sid; src; dst; msg = reply }))
     end
   | Reply_delivery { sid; src; dst; msg } ->
     if t.alive.(dst) then begin
@@ -215,46 +209,22 @@ let rec execute t event =
          verifies exactly that. *)
       (granular t).Driver.accept_reply ~dst ~src msg;
       match Hashtbl.find_opt t.sessions sid with
-      | Some _ ->
+      | Some st ->
         (* First reply completes the session: stop the retry machinery. *)
-        t.sessions_attempted <- t.sessions_attempted + 1;
-        Hashtbl.remove t.sessions sid
+        drive t sid st (Initiator.reply st.machine)
       | None -> ()
     end
-  | Session_timeout { sid; attempt } -> (
+  | Session_timer { sid } -> (
     match Hashtbl.find_opt t.sessions sid with
     | None -> () (* completed or abandoned; stale clock *)
     | Some st ->
-      if st.attempt = attempt then begin
-        (* This attempt's reply did not arrive in time. *)
-        (match t.transport with
-        | Session_grain -> assert false
-        | Message_grain policy -> (
-          let c = t.driver.Driver.counters ~node:st.s_dst in
-          c.Counters.timeouts <- c.Counters.timeouts + 1;
-          (* The verdict and backoff curve come from the shared seam
-             ({!Transport.Flow}); only the jitter draw stays here, on
-             the engine PRNG, so schedules replay from the seed. *)
-          match Transport.Flow.on_timeout policy ~attempt:st.attempt with
-          | Transport.Flow.Abandon ->
-            c.Counters.sessions_abandoned <- c.Counters.sessions_abandoned + 1;
-            t.sessions_lost <- t.sessions_lost + 1;
-            Hashtbl.remove t.sessions sid
-          | Transport.Flow.Retry { attempt; backoff } ->
-            c.Counters.retries <- c.Counters.retries + 1;
-            st.attempt <- attempt;
-            let backoff =
-              Transport.Flow.jittered policy backoff ~u:(Prng.float t.prng 1.0)
-            in
-            schedule_after t ~delay:backoff (Session_retry { sid })))
-      end)
-  | Session_retry { sid } -> (
-    match Hashtbl.find_opt t.sessions sid with
-    | None -> () (* completed in the backoff window *)
-    | Some st -> (
-      match t.transport with
-      | Session_grain -> assert false
-      | Message_grain policy -> send_request t ~policy sid st))
+      (* Only the jitter draw stays here, on the engine PRNG, so
+         schedules replay from the seed. *)
+      drive t sid st
+        (Initiator.timer st.machine
+           ~counters:(t.driver.Driver.counters ~node:st.s_dst)
+           ~now:t.now
+           ~jitter:(fun () -> Prng.float t.prng 1.0)))
   | Push_flush { period; until } -> (
     match t.driver.Driver.push with
     | None -> invalid_arg "Engine: Push_flush scheduled but the driver has no push stream"
@@ -270,8 +240,8 @@ let rec execute t event =
               (* Each flushed frame is one fire-and-forget dial — never
                  a retry; push has no acknowledgement to time out on. *)
               Transport.Charge.dial (t.driver.Driver.counters ~node:src);
-              send_push t ~from_:src ~to_:dst (fun () ->
-                  Push_delivery { src; dst; msg }))
+              ignore
+                (send t ~prng:t.push_prng ~from_:src ~to_:dst (Push_delivery { src; dst; msg })))
             (stream.Driver.flush ~src)
       done;
       if t.now +. period <= until then

@@ -32,7 +32,9 @@
     {e between} them. A per-attempt timeout drives bounded exponential
     backoff with jitter (seeded from the engine PRNG); after
     [max_retries] re-sends the session is abandoned to a later
-    anti-entropy round. Timeouts, retries and abandonments are charged
+    anti-entropy round. These rules are the
+    {!Edb_transport.Transport.Initiator} machine, the one the socket
+    daemon drives too. Timeouts, retries and abandonments are charged
     to the initiating node's {!Edb_metrics.Counters}. *)
 
 type t
@@ -90,11 +92,10 @@ type event =
       msg : Edb_baselines.Driver.message;
     }
       (** Internal (message-grain): the reply reaches the recipient. *)
-  | Session_timeout of { sid : int; attempt : int }
-      (** Internal (message-grain): an attempt's reply deadline
-          passed. *)
-  | Session_retry of { sid : int }
-      (** Internal (message-grain): backoff elapsed; re-send. *)
+  | Session_timer of { sid : int }
+      (** Internal (message-grain): the session's
+          {!Edb_transport.Transport.Initiator} asked to be woken now —
+          an attempt's reply deadline passed, or its backoff elapsed. *)
   | Push_flush of { period : float; until : float }
       (** Drain every alive node's push queues toward ready peers
           (requires a driver with {!Edb_baselines.Driver.t.push};

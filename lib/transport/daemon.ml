@@ -10,23 +10,26 @@ module Snapshot = Edb_persist.Snapshot
 module Durable_node = Edb_persist.Durable_node
 module Channel = Edb_push.Channel
 module T = Socket_transport
+module Initiator = Transport.Initiator
 
 (* One protocol node as a process: a {!Durable_node} (WAL + checkpoint)
    served over a {!Socket_transport} select loop. The daemon is both
    sides of the protocol at once — it answers inbound requests and
    pushes, and runs its own anti-entropy timer as the initiator — and
    nothing in the loop may block: up to [max_sessions] initiator
-   sessions are in flight at once (a table of per-peer state machines,
-   each just another fd in the select set with its reply deadline and
-   backoff handled as timers), a session that completes parks its
-   connection in a per-peer idle cache for the next session to that
-   peer (dialing only when the cache is empty), every connection is
+   sessions are in flight at once (a table of per-peer
+   {!Transport.Initiator} machines, each just another fd in the select
+   set with its reply deadline and backoff handled as timers), a
+   session that completes parks its connection in a per-peer idle
+   cache for the next session to that peer (dialing only when the
+   cache is empty), every connection is
    non-blocking with a per-connection output buffer (writable-fd
    interest, partial-write resumption), and the WAL group-commits once
    per loop turn — no record buffered for a peer is released to the
    wire before the batch holding its commit record is durable. The
-   timeout/retry arithmetic is the shared {!Transport.Flow}; the
-   counter charges are the shared {!Transport.Charge}. *)
+   timeout/retry machine is the shared {!Transport.Initiator}, fed
+   [Unix.gettimeofday]; the counter charges are the shared
+   {!Transport.Charge}. *)
 
 module Config = struct
   type t = {
@@ -165,17 +168,11 @@ module Control = struct
     reply
 end
 
-(* An initiator-side session state machine, one per peer, at most
-   [max_sessions] at a time: either an attempt is in flight (a request
-   outstanding on a non-blocking connection, with a reply deadline) or
-   the session sits in its backoff window waiting to re-dial. *)
-type session = {
-  s_peer : int;
-  mutable attempt : int;
-  mutable sconn : T.conn option;
-  mutable deadline : float;
-  mutable retry_at : float;
-}
+(* An initiator-side session, one per peer, at most [max_sessions] at a
+   time: the shared machine, plus the connection its in-flight attempt
+   awaits the reply on. Invariant: [sconn] is [Some] only while the
+   machine is [In_flight]. *)
+type session = { s_peer : int; machine : Initiator.t; mutable sconn : T.conn option }
 
 type t = {
   config : Config.t;
@@ -236,26 +233,31 @@ let session_done t s =
   | _ -> close_session_conn s);
   Hashtbl.remove t.sessions s.s_peer
 
-(* A failed attempt — refused dial, send error, reply deadline passed,
-   peer closed mid-session, corrupt reply — all funnel here, mirroring
-   the simulated transport's single timeout failure mode. *)
-let session_attempt_failed t s =
-  close_session_conn s;
-  let c = counters t in
-  c.Counters.timeouts <- c.Counters.timeouts + 1;
-  match Transport.Flow.on_timeout t.config.Config.retry ~attempt:s.attempt with
-  | Transport.Flow.Abandon ->
-    c.Counters.sessions_abandoned <- c.Counters.sessions_abandoned + 1;
-    Hashtbl.remove t.sessions s.s_peer
-  | Transport.Flow.Retry { attempt; backoff } ->
-    c.Counters.retries <- c.Counters.retries + 1;
-    s.attempt <- attempt;
-    s.deadline <- 0.0;
-    s.retry_at <-
-      Unix.gettimeofday ()
-      +. Transport.Flow.jittered t.config.Config.retry backoff ~u:(Prng.float t.prng 1.0)
+let jitter t () = Prng.float t.prng 1.0
 
-let send_request t s conn =
+(* Carry out the machine's action. Whatever it decided, an attempt that
+   is no longer in flight gives up its connection first — except on
+   completion, where [session_done] parks it. *)
+let rec apply t s action =
+  (match (action, Initiator.state s.machine) with
+  | Initiator.Completed, _ | _, Initiator.In_flight _ -> ()
+  | _ -> close_session_conn s);
+  match action with
+  | Initiator.Send attempt -> attempt_session t s attempt
+  | Initiator.Wake_at _ -> ()
+  | Initiator.Completed -> session_done t s
+  | Initiator.Abandoned -> Hashtbl.remove t.sessions s.s_peer
+
+(* A failed attempt — refused dial, send error, peer closed mid-session,
+   corrupt reply — all funnel here, mirroring the simulated transport's
+   single timeout failure mode; a passed reply deadline reaches the same
+   machine transition through its timer. *)
+and session_attempt_failed t s =
+  apply t s
+    (Initiator.failed s.machine ~counters:(counters t) ~now:(Unix.gettimeofday ())
+       ~jitter:(jitter t))
+
+and send_request t s conn =
   let nd = node t in
   (* Re-encode per attempt: fresh request id, current vectors. The
      request only enters the connection's output buffer here; the
@@ -268,37 +270,38 @@ let send_request t s conn =
     session_attempt_failed t s
   | Ok () ->
     s.sconn <- Some conn;
-    s.deadline <- Unix.gettimeofday () +. t.config.Config.retry.Transport.timeout
+    apply t s (Initiator.sent s.machine ~now:(Unix.gettimeofday ()))
 
 (* One attempt: on the peer's idle connection when there is one, else
    on a fresh non-blocking dial (the handshake is queued ahead of the
    request, and a connect still in progress just reports [`Blocked]
    until the kernel finishes it). Only real dials are charged. *)
-let attempt_session t s =
-  s.retry_at <- 0.0;
+and attempt_session t s attempt =
   match Hashtbl.find_opt t.idle s.s_peer with
   | Some conn ->
     Hashtbl.remove t.idle s.s_peer;
     send_request t s conn
   | None -> (
-    Transport.Charge.dial ~retry:(s.attempt > 0) (counters t);
+    Transport.Charge.dial ~retry:(attempt > 0) (counters t);
     match T.dial t.transport ~peer:s.s_peer with
     | Error _ -> session_attempt_failed t s
     | Ok conn -> send_request t s conn)
 
 let start_session t ~peer =
   if not (Hashtbl.mem t.sessions peer) then begin
-    let s = { s_peer = peer; attempt = 0; sconn = None; deadline = 0.0; retry_at = 0.0 } in
+    let machine, first = Initiator.start t.config.Config.retry in
+    let s = { s_peer = peer; machine; sconn = None } in
     Hashtbl.replace t.sessions peer s;
-    attempt_session t s
+    apply t s first
   end
 
 let session_reply t s frame =
   match Frame.decode_reply (node t) ~src:s.s_peer frame with
-  | Frame.Nak _ | Frame.Reply (Message.You_are_current, _) -> session_done t s
+  | Frame.Nak _ | Frame.Reply (Message.You_are_current, _) ->
+    apply t s (Initiator.reply s.machine)
   | Frame.Reply (reply, _) ->
     Durable_node.accept_reply t.durable ~source:s.s_peer reply;
-    session_done t s
+    apply t s (Initiator.reply s.machine)
   | exception Codec.Reader.Corrupt _ -> session_attempt_failed t s
 
 let session_capacity t = min t.config.Config.max_sessions (t.config.Config.n - 1)
@@ -518,8 +521,8 @@ let step t =
   List.iter
     (fun s ->
       if Hashtbl.mem t.sessions s.s_peer then
-        if s.sconn = None && s.retry_at > 0.0 && now >= s.retry_at then attempt_session t s
-        else if s.sconn <> None && now >= s.deadline then session_attempt_failed t s)
+        apply t s
+          (Initiator.timer s.machine ~counters:(counters t) ~now ~jitter:(jitter t)))
     (all_sessions t);
   if now >= t.next_ae then begin
     t.next_ae <- now +. t.config.Config.ae_period;
@@ -541,11 +544,7 @@ let step t =
   else begin
     let next_timer =
       Hashtbl.fold
-        (fun _ s acc ->
-          min acc
-            (if s.sconn <> None then s.deadline
-             else if s.retry_at > 0.0 then s.retry_at
-             else infinity))
+        (fun _ s acc -> min acc (Initiator.due s.machine))
         t.sessions
         (min t.next_ae t.next_push)
     in

@@ -6,22 +6,26 @@
     blocks. Passively it answers requests (reply or nak) and applies
     pushes, journaling before applying. Actively each anti-entropy
     tick tops a table of per-peer initiator sessions up to
-    [max_sessions] distinct random peers — every in-flight session is
-    just another fd in the select set, its reply deadline, retries and
-    abandonment handled as timers ({!Transport.Flow} arithmetic,
-    {!Transport.Charge} counters). A session that ends with a decoded
-    reply or a nak parks its connection in a per-peer idle cache, and
-    the next session to that peer sends on it: no dial, no handshake.
-    Cached connections stay in the select set, and any readable event
-    while idle (EOF, error, stray bytes) closes them, as do a timeout,
-    a send or flush error and a corrupt reply; only real dials are
-    charged to [connections_opened]. Every connection is non-blocking
-    with a per-connection output buffer (writable-fd interest,
-    partial-write resumption), so a slow peer never stops this node
-    from serving; and the WAL group-commits once per loop turn — no
-    buffered reply is released to the wire before the batch holding
-    its commit record is durable. An optional push channel flushes on
-    its own cadence over persistent per-peer streams, fire-and-forget.
+    [max_sessions] distinct random peers. Every in-flight session is
+    just another fd in the select set, driving its own
+    {!Transport.Initiator} — the machine the simulation engine drives
+    too — fed [Unix.gettimeofday]: its reply deadline, retries and
+    abandonment are timers in the loop. A session that ends with a
+    decoded reply or a nak parks its connection in a per-peer idle
+    cache, and the next session to that peer sends on it: no dial, no
+    handshake. Cached connections stay in the select set, and any
+    readable event while idle (EOF, error, stray bytes) closes them,
+    as do a timeout, a send or flush error and a corrupt reply; only
+    real dials are charged to [connections_opened]. Every connection
+    is non-blocking with a per-connection output buffer (writable-fd
+    interest, partial-write resumption), so a slow peer never stops
+    this node from serving; and the WAL group-commits once per loop
+    turn — no buffered reply is released to the wire before the batch
+    holding its commit record is synced. The sync is a flush to the
+    kernel, not an [fsync]: an acknowledged write survives a crash of
+    this process, not of the OS. An optional push channel flushes on
+    its own cadence over persistent per-peer streams,
+    fire-and-forget.
 
     Control clients (the {!Harness}, `edb_cli cluster`) speak
     {!Control} records over the same listening socket. *)

@@ -1,4 +1,4 @@
-(** {!Transport.S} over real sockets — Unix-domain first, TCP second.
+(** The socket substrate — Unix-domain first, TCP second.
 
     A connection is a byte stream carrying length-prefixed records
     ({!Edb_persist.Frame.to_wire}); receive reassembles through the
@@ -8,9 +8,12 @@
     node id) so the passive side learns the peer identity its per-peer
     wire negotiation state is keyed on.
 
-    Callers that multiplex many connections in a select loop (the
-    daemon) use the non-blocking surface — {!listen_fd}, {!fd},
-    {!read_into}, {!next_record} — instead of blocking {!recv}.
+    Two surfaces. One-shot clients (the harness, the cluster benchmark)
+    use the blocking {!connect}/{!send}/{!recv}. Callers that multiplex
+    many connections in a select loop (the daemon) use the non-blocking
+    one — {!dial}, {!accept_nonblocking}, {!listen_fd}, {!fd},
+    {!read_into}, {!next_record}, {!flush_output}. The session logic
+    itself lives in {!Transport.Initiator}, not here.
 
     Writers should ignore [SIGPIPE] (the daemon and harness do) so a
     send to a dead peer surfaces as an [Error], not a process kill. *)
@@ -40,12 +43,24 @@ val close : t -> unit
 (** Close the listening socket and unlink its Unix path. Established
     connections are closed individually ({!close_conn}). *)
 
-include Transport.S with type t := t and type conn := conn
+(** {1 Blocking surface} *)
 
-val accept : ?timeout:float -> t -> (conn, string) result
-(** Accept one inbound connection and read its handshake; [Error] on
-    timeout (when given), a malformed handshake, or a peer that stalls
-    mid-handshake. *)
+val connect : t -> peer:int -> (conn, string) result
+(** Connect to [peer] and write the handshake, blocking. *)
+
+val send : conn -> string -> (unit, string) result
+(** Send one record: written at once on a {!connect}ed connection,
+    buffered for {!flush_output} on a non-blocking one. *)
+
+val recv : ?timeout:float -> conn -> (string, string) result
+(** The next whole record; [Error] on timeout, peer close, or a
+    corrupt stream. *)
+
+val peer : conn -> int
+(** The node at the other end ([-1] until an accepted connection's
+    handshake arrives). *)
+
+val close_conn : conn -> unit
 
 (** {1 Select-loop surface} *)
 
@@ -91,7 +106,7 @@ val accept_nonblocking : t -> (conn option, string) result
 
 val handshake_done : conn -> bool
 (** Whether the inbound handshake has completed (always true for dialed
-    and blocking-accepted connections). *)
+    and connected connections). *)
 
 val pending_output : conn -> int
 (** Bytes buffered but not yet written. *)

@@ -5,12 +5,12 @@ module Frame = Edb_persist.Frame
 module Codec = Edb_persist.Codec
 
 (* The transport seam (DESIGN.md §12). Everything a delivery substrate
-   needs to carry the protocol lives here — the retry policy and its
-   timeout/backoff arithmetic, the stream record tagging, the counter
-   charges both transports must apply identically, and the signature
-   ([S]) the simulated and socket transports implement. The simulation
-   engine and the socket daemon consume the same definitions, so a
-   behavior (say, the backoff curve) cannot drift between them. *)
+   needs to carry the protocol lives here — the retry policy, its
+   timeout/backoff arithmetic and the one initiator session machine
+   built on it, the stream record tagging, and the counter charges both
+   substrates must apply identically. The simulation engine and the
+   socket daemon drive the same machine, so a behavior (say, the backoff
+   curve) cannot drift between them. *)
 
 type retry_policy = {
   timeout : float;
@@ -32,11 +32,10 @@ let default_retry_policy =
   }
 
 module Flow = struct
-  (* The session retry machine, shared verbatim between the simulation
-     engine's event handlers and the daemon's select loop. The float
-     arithmetic (min-then-multiply order, [attempt - 1] exponent) is
-     load-bearing: explorer schedules replay byte-identically only if
-     every transport computes the same backoff from the same draws. *)
+  (* The retry arithmetic under {!Initiator}. The float arithmetic
+     (min-then-multiply order, [attempt - 1] exponent) is load-bearing:
+     explorer schedules replay byte-identically only if every substrate
+     computes the same backoff from the same draws. *)
 
   type verdict = Abandon | Retry of { attempt : int; backoff : float }
 
@@ -52,6 +51,78 @@ module Flow = struct
       Retry { attempt; backoff }
 
   let jittered policy backoff ~u = backoff *. (1.0 +. (policy.jitter *. u))
+end
+
+module Initiator = struct
+  (* The initiator side of one session — send the DBVV request, await
+     the reply within the policy's timeout, back off and re-send, or
+     abandon to a later anti-entropy round — as a machine with no IO
+     and no clock. The driver supplies [now] with every input and
+     carries out the returned action; the engine's event queue and the
+     daemon's select loop are its two drivers. It is the only code that
+     charges [timeouts], [retries] and [sessions_abandoned]. *)
+
+  type state =
+    | Sending of { attempt : int }
+    | In_flight of { attempt : int; deadline : float }
+    | Backoff of { attempt : int; retry_at : float }
+    | Finished
+
+  type action = Send of int | Wake_at of float | Completed | Abandoned
+
+  type t = { policy : retry_policy; mutable state : state }
+
+  let start policy = ({ policy; state = Sending { attempt = 0 } }, Send 0)
+
+  let state m = m.state
+
+  let due m =
+    match m.state with
+    | In_flight { deadline; _ } -> deadline
+    | Backoff { retry_at; _ } -> retry_at
+    | Sending _ | Finished -> infinity
+
+  let sent m ~now =
+    match m.state with
+    | Sending { attempt } ->
+      let deadline = now +. m.policy.timeout in
+      m.state <- In_flight { attempt; deadline };
+      Wake_at deadline
+    | In_flight _ | Backoff _ | Finished -> invalid_arg "Initiator.sent: nothing to send"
+
+  (* A reply or nak ends the session, also one arriving in the backoff
+     window from a superseded attempt. *)
+  let reply m =
+    match m.state with
+    | In_flight _ | Backoff _ ->
+      m.state <- Finished;
+      Completed
+    | Sending _ | Finished -> invalid_arg "Initiator.reply: no request outstanding"
+
+  let failed m ~counters:(c : Counters.t) ~now ~jitter =
+    match m.state with
+    | Sending { attempt } | In_flight { attempt; _ } -> (
+      c.Counters.timeouts <- c.Counters.timeouts + 1;
+      match Flow.on_timeout m.policy ~attempt with
+      | Flow.Abandon ->
+        c.Counters.sessions_abandoned <- c.Counters.sessions_abandoned + 1;
+        m.state <- Finished;
+        Abandoned
+      | Flow.Retry { attempt; backoff } ->
+        c.Counters.retries <- c.Counters.retries + 1;
+        let retry_at = now +. Flow.jittered m.policy backoff ~u:(jitter ()) in
+        m.state <- Backoff { attempt; retry_at };
+        Wake_at retry_at)
+    | Backoff _ | Finished -> invalid_arg "Initiator.failed: no attempt to fail"
+
+  let timer m ~counters ~now ~jitter =
+    match m.state with
+    | In_flight { deadline; _ } when now >= deadline -> failed m ~counters ~now ~jitter
+    | Backoff { attempt; retry_at } when now >= retry_at ->
+      m.state <- Sending { attempt };
+      Send attempt
+    | In_flight { deadline = due; _ } | Backoff { retry_at = due; _ } -> Wake_at due
+    | Sending _ | Finished -> invalid_arg "Initiator.timer: no timer armed"
 end
 
 module Record = struct
@@ -79,9 +150,8 @@ end
 
 module Charge = struct
   (* Counter charges shared by every frame-shipping path — the
-     simulation engine, the socket daemon, and the blocking session
-     client — so [wire_bytes_sent] and the connection counters mean the
-     same thing on both transports. *)
+     simulation engine and the socket daemon — so [wire_bytes_sent] and
+     the connection counters mean the same thing on both substrates. *)
 
   let request node frame =
     let c = Node.counters node in
@@ -139,23 +209,3 @@ let serve_frame ?apply_push node ~src frame =
        completed session — and garbage both drop silently; anti-entropy
        repairs whatever they would have carried. *)
     None
-
-module type S = sig
-  type t
-
-  type conn
-
-  val id : t -> int
-
-  val connect : t -> peer:int -> (conn, string) result
-
-  val send : conn -> string -> (unit, string) result
-
-  val recv : ?timeout:float -> conn -> (string, string) result
-
-  val peer : conn -> int
-
-  val close_conn : conn -> unit
-
-  val pause : t -> float -> unit
-end

@@ -1,27 +1,23 @@
 (** The transport seam (DESIGN.md §12).
 
     The protocol's delivery path used to be hard-wired into the
-    simulation engine; this module is the extracted interface every
-    substrate implements instead. It owns the pieces that must not
-    drift between transports:
+    simulation engine; this module holds what every substrate shares
+    instead, so none of it can drift between them:
 
-    - the {!retry_policy} and the {!Flow} timeout/backoff machine the
-      message-granular session layer runs on (the simulation engine's
-      event handlers and the socket daemon's select loop call the same
-      functions, with the same float arithmetic);
+    - the {!retry_policy}, its {!Flow} timeout/backoff arithmetic, and
+      the {!Initiator} session machine built on them — one pure machine
+      that the simulation engine's event queue and the socket daemon's
+      select loop both drive;
     - the {!Record} tagging that multiplexes protocol frames and
       control messages over one byte stream;
     - the {!Charge} counter discipline, so [wire_bytes_sent] and the
       connection counters mean the same thing everywhere;
-    - the {!S} signature the in-memory ({!Sim_transport}) and socket
-      ({!Socket_transport}) transports implement, and over which
-      {!Session_client} runs one anti-entropy session.
+    - {!serve_frame}, the passive side of frame dispatch.
 
     Frames themselves ({!Edb_persist.Frame}) are transport-agnostic
-    bytes; a stream transport adds a length prefix
-    ({!Edb_persist.Frame.to_wire}) and the {!Record} tag, nothing
-    else — the simulated and socket transports ship byte-identical
-    protocol payloads. *)
+    bytes; a stream transport ({!Socket_transport}) adds a length
+    prefix ({!Edb_persist.Frame.to_wire}) and the {!Record} tag,
+    nothing else. *)
 
 (** {1 Retry policy} *)
 
@@ -42,9 +38,10 @@ val default_retry_policy : retry_policy
     definition moved here from [Edb_sim.Engine], which re-exports
     it). *)
 
-(** The session retry machine: pure decisions from (policy, attempt),
-    so every transport — and every replayed explorer schedule —
-    computes identical backoffs from identical draws. *)
+(** The retry arithmetic: pure decisions from (policy, attempt), so
+    every substrate — and every replayed explorer schedule — computes
+    identical backoffs from identical draws. {!Initiator} is its only
+    caller. *)
 module Flow : sig
   type verdict =
     | Abandon  (** Retry budget exhausted: leave it to anti-entropy. *)
@@ -59,6 +56,68 @@ module Flow : sig
   (** [jittered policy backoff ~u] applies the policy's multiplicative
       jitter using the caller's uniform draw [u] — the caller owns the
       randomness source (the engine draws from its replayable PRNG). *)
+end
+
+(** {1 The initiator session machine} *)
+
+(** The initiator side of one anti-entropy session (paper Fig. 2/3:
+    send the DBVV request, accept the reply) with the policy's
+    timeout, backoff and abandon rules — no IO, no clock. A driver
+    feeds it inputs stamped with its own [now], carries out the
+    returned {!action}, and keeps everything transport-shaped (dials,
+    encoding, {!Charge.request}, connection caching) to itself. An
+    input the current {!state} cannot take (say, {!reply} after the
+    session finished) raises [Invalid_argument]. *)
+module Initiator : sig
+  type state =
+    | Sending of { attempt : int }
+        (** Attempt [attempt] (0-based) is to go out now; the driver
+            answers with {!sent} or {!failed}. *)
+    | In_flight of { attempt : int; deadline : float }
+        (** Sent; the reply is due by [deadline] ([now + timeout] at
+            {!sent}). *)
+    | Backoff of { attempt : int; retry_at : float }
+        (** Waiting to send attempt [attempt] at [retry_at]. *)
+    | Finished  (** Completed or abandoned; accepts no more input. *)
+
+  type action =
+    | Send of int  (** Send attempt [k] now. *)
+    | Wake_at of float  (** Deliver {!timer} at this time. *)
+    | Completed  (** A reply ended the session. *)
+    | Abandoned  (** The retry budget is spent: leave it to anti-entropy. *)
+
+  type t
+
+  val start : retry_policy -> t * action
+  (** A fresh session and its first action, [Send 0]. *)
+
+  val state : t -> state
+
+  val due : t -> float
+  (** When the next {!timer} has work: the deadline in flight, the
+      retry time in backoff, [infinity] otherwise. *)
+
+  val sent : t -> now:float -> action
+  (** The attempt went out (or, for a dead simulated initiator, would
+      have): arm its deadline. [Wake_at (now + timeout)]. *)
+
+  val reply : t -> action
+  (** A reply or nak was decoded — also one from a superseded attempt
+      arriving in the backoff window. [Completed]. *)
+
+  val failed :
+    t -> counters:Edb_metrics.Counters.t -> now:float -> jitter:(unit -> float) -> action
+  (** The attempt failed before its deadline: refused dial, send or
+      flush error, EOF, corrupt reply. Charges a timeout, then either
+      a retry ([Wake_at (now + jittered backoff)], drawing
+      [jitter ()] once) or an abandon ([Abandoned], drawing
+      nothing). *)
+
+  val timer :
+    t -> counters:Edb_metrics.Counters.t -> now:float -> jitter:(unit -> float) -> action
+  (** A timer fired. Past the deadline it is {!failed}; past the retry
+      time it is [Send attempt]; before {!due} it changes nothing and
+      answers [Wake_at (due t)]. *)
 end
 
 (** {1 Stream records} *)
@@ -107,43 +166,9 @@ val serve_frame :
   src:int ->
   string ->
   string option
-(** The passive (server) side of frame dispatch, shared by the daemon
-    and the in-memory transport: a request is answered (reply or nak)
-    through {!Edb_persist.Frame.respond} — the returned frame should go
-    back on the same connection — a push is decoded and applied (via
-    [apply_push] when given, so a durable node can journal it), and
-    anything else (late replies, garbage) drops silently, repaired by
-    anti-entropy. *)
-
-(** {1 The transport signature} *)
-
-(** What a delivery substrate provides: dial a peer, move whole
-    records, tear down. Implementations: {!Sim_transport} (in-memory,
-    deterministic, faultable) and {!Socket_transport} (Unix-domain and
-    TCP sockets). [recv] returns whole records — stream transports
-    reassemble them through {!Edb_persist.Frame.Reader}. *)
-module type S = sig
-  type t
-  (** One endpoint, owning this node's connections. *)
-
-  type conn
-  (** One established, peer-identified connection. *)
-
-  val id : t -> int
-
-  val connect : t -> peer:int -> (conn, string) result
-
-  val send : conn -> string -> (unit, string) result
-
-  val recv : ?timeout:float -> conn -> (string, string) result
-  (** The next whole record; [Error] on timeout, peer close, or a
-      corrupt stream. *)
-
-  val peer : conn -> int
-
-  val close_conn : conn -> unit
-
-  val pause : t -> float -> unit
-  (** Sleep between retry attempts — wall-clock for sockets, a no-op
-      for the synchronous in-memory transport. *)
-end
+(** The passive (server) side of frame dispatch: a request is answered
+    (reply or nak) through {!Edb_persist.Frame.respond} — the returned
+    frame should go back on the same connection — a push is decoded and
+    applied (via [apply_push] when given, so a durable node can journal
+    it), and anything else (late replies, garbage) drops silently,
+    repaired by anti-entropy. *)

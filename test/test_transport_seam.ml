@@ -1,9 +1,10 @@
 (* The transport seam (DESIGN.md §12): the shared retry/backoff
-   arithmetic, counter charges and frame dispatch that the simulation
-   engine, the blocking session client and the socket daemon all run;
-   the session client over the in-memory transport against the
-   in-process framed pull; the socket transport's output path and the
-   daemon's session-connection cache, in process; and the real thing —
+   arithmetic, counter charges and frame dispatch; the initiator session
+   machine the simulation engine and the socket daemon both drive, here
+   driven on a fake clock over an in-test network against the
+   in-process framed pull, and its timeline checked step by step; the
+   socket transport's accept/read path and output path and the daemon's
+   session-connection cache, in process; and the real thing —
    multi-process daemons over Unix-domain and TCP sockets, including
    kill -9 crash recovery from the WAL. *)
 
@@ -13,13 +14,11 @@ module Operation = Edb_store.Operation
 module Counters = Edb_metrics.Counters
 module Frame = Edb_persist.Frame
 module Transport = Edb_transport.Transport
-module Sim_transport = Edb_transport.Sim_transport
 module Socket_transport = Edb_transport.Socket_transport
 module Harness = Edb_transport.Harness
 module Daemon = Edb_transport.Daemon
 module Invariant = Edb_check.Invariant
-module Session_client = Edb_transport.Session_client
-module Session = Session_client.Make (Edb_transport.Sim_transport)
+module Initiator = Transport.Initiator
 
 let set v = Operation.Set v
 
@@ -28,8 +27,8 @@ let check_node node = Invariant.check_node node
 (* ---------- the shared retry arithmetic ---------- *)
 
 (* The backoff ladder of the default policy, pinned: the engine's
-   event-queue retries, the session client and the daemon's select loop
-   must all compute these exact floats from these exact inputs. *)
+   event queue and the daemon's select loop drive one machine built on
+   these exact floats from these exact inputs. *)
 let test_flow_arithmetic () =
   let p = Transport.default_retry_policy in
   (match Transport.Flow.on_timeout p ~attempt:0 with
@@ -142,7 +141,7 @@ let test_serve_frame () =
     = None);
   Alcotest.(check bool) "push applied through the hook" true (!seen = [ (0, "x") ])
 
-(* ---------- the session client over the in-memory transport ---------- *)
+(* ---------- the initiator machine on a fake clock ---------- *)
 
 let fresh_pair () =
   let source = Node.create ~id:0 ~n:2 () in
@@ -152,21 +151,56 @@ let fresh_pair () =
   Node.update source "alpha" (set "a2");
   (source, recipient)
 
-let sim_endpoint source recipient =
-  let net = Sim_transport.create_net () in
-  Sim_transport.serve_node net source;
-  (net, Sim_transport.endpoint net ~id:(Node.id recipient))
+(* One session of [recipient] pulling from [source], driven through the
+   machine over an in-test network: a request is answered on the spot
+   by [Transport.serve_frame], and [drop] is drawn once per request and
+   once per produced reply, so either half can be lost. A down peer
+   refuses every dial. The clock jumps to each wake-up; jitter draws
+   are 0. Returns the terminal action and the last decoded reply. *)
+let fake_pull ?(drop = fun () -> false) ?(peer_up = true) ~source recipient =
+  let c = Node.counters recipient in
+  let src = Node.id source and dst = Node.id recipient in
+  let now = ref 0.0 and synced = ref None in
+  let jitter () = 0.0 in
+  let machine, first = Initiator.start Transport.default_retry_policy in
+  let rec drive = function
+    | Initiator.Send attempt ->
+      Transport.Charge.dial ~retry:(attempt > 0) c;
+      if not peer_up then drive (Initiator.failed machine ~counters:c ~now:!now ~jitter)
+      else begin
+        (* Re-encoded on every attempt, as both real drivers do. *)
+        let request = Frame.encode_request recipient ~dst:src in
+        Transport.Charge.request recipient request;
+        let answer = if drop () then None else Transport.serve_frame source ~src:dst request in
+        let wake = Initiator.sent machine ~now:!now in
+        match answer with
+        | Some reply when not (drop ()) ->
+          (synced :=
+             match Frame.decode_reply recipient ~src reply with
+             | Frame.Nak _ -> Some `Nak
+             | Frame.Reply (Message.You_are_current, _) -> Some `Current
+             | Frame.Reply (r, _) ->
+               let (_ : Node.accept_result) = Node.accept_propagation recipient ~source:src r in
+               Some `Propagated);
+          drive (Initiator.reply machine)
+        | _ -> drive wake
+      end
+    | Initiator.Wake_at at ->
+      now := at;
+      drive (Initiator.timer machine ~counters:c ~now:at ~jitter)
+    | (Initiator.Completed | Initiator.Abandoned) as last -> (last, !synced)
+  in
+  drive first
 
-(* One session through the full seam — endpoint, record tagging, frame
-   dispatch — must leave both nodes exactly where the in-process framed
-   pull leaves a control pair, and charge the same message and wire-byte
-   counters; only the connection counters differ (the in-process pull
-   opens none). *)
+(* One session through the machine, record-free but frame-exact, must
+   leave both nodes exactly where the in-process framed pull leaves a
+   control pair, and charge the same message and wire-byte counters;
+   only the connection counters differ (the in-process pull opens
+   none). *)
 let test_sim_session_matches_frame_pull () =
   let source, recipient = fresh_pair () in
-  let _net, ep = sim_endpoint source recipient in
-  (match Session.pull ep ~node:recipient ~peer:0 () with
-  | Session_client.Synced `Propagated -> ()
+  (match fake_pull ~source recipient with
+  | Initiator.Completed, Some `Propagated -> ()
   | _ -> Alcotest.fail "first pull must propagate");
   let control_source, control_recipient = fresh_pair () in
   let (_ : Node.pull_result) =
@@ -190,8 +224,8 @@ let test_sim_session_matches_frame_pull () =
   Alcotest.(check int) "no connection retries" 0 c.Counters.connection_retries;
   Alcotest.(check int) "in-process pull opens none" 0 cc.Counters.connections_opened;
   (* A second session is answered you-are-current. *)
-  match Session.pull ep ~node:recipient ~peer:0 () with
-  | Session_client.Synced `Current -> ()
+  match fake_pull ~source recipient with
+  | Initiator.Completed, Some `Current -> ()
   | _ -> Alcotest.fail "second pull must be current"
 
 (* Total record loss: the full backoff ladder runs, every attempt
@@ -199,11 +233,9 @@ let test_sim_session_matches_frame_pull () =
    connection counters telling the story. *)
 let test_sim_total_loss_abandons () =
   let source, recipient = fresh_pair () in
-  let net, ep = sim_endpoint source recipient in
-  Sim_transport.set_drop net (fun () -> true);
-  (match Session.pull ep ~node:recipient ~peer:0 () with
-  | Session_client.Abandoned _ -> ()
-  | Session_client.Synced _ -> Alcotest.fail "total loss cannot sync");
+  (match fake_pull ~drop:(fun () -> true) ~source recipient with
+  | Initiator.Abandoned, None -> ()
+  | _ -> Alcotest.fail "total loss cannot sync");
   let p = Transport.default_retry_policy in
   let attempts = p.Transport.max_retries + 1 in
   let c = Node.counters recipient in
@@ -221,16 +253,14 @@ let test_sim_total_loss_abandons () =
    the re-dial shows up in [connection_retries]. *)
 let test_sim_first_loss_recovers () =
   let source, recipient = fresh_pair () in
-  let net, ep = sim_endpoint source recipient in
   let records = ref 0 in
-  (* The drop predicate is consulted once per sent record and once per
-     produced reply: losing exactly the first draw loses the first
-     request on the wire. *)
-  Sim_transport.set_drop net (fun () ->
-      incr records;
-      !records = 1);
-  (match Session.pull ep ~node:recipient ~peer:0 () with
-  | Session_client.Synced `Propagated -> ()
+  (* Losing exactly the first draw loses the first request. *)
+  let drop () =
+    incr records;
+    !records = 1
+  in
+  (match fake_pull ~drop ~source recipient with
+  | Initiator.Completed, Some `Propagated -> ()
   | _ -> Alcotest.fail "retry must complete the session");
   let c = Node.counters recipient in
   Alcotest.(check int) "one timeout" 1 c.Counters.timeouts;
@@ -244,15 +274,124 @@ let test_sim_first_loss_recovers () =
    attempt. *)
 let test_sim_dead_peer_abandons () =
   let source, recipient = fresh_pair () in
-  let net, ep = sim_endpoint source recipient in
-  Sim_transport.unregister net ~id:0;
-  (match Session.pull ep ~node:recipient ~peer:0 () with
-  | Session_client.Abandoned _ -> ()
-  | Session_client.Synced _ -> Alcotest.fail "a dead peer cannot sync");
+  (match fake_pull ~peer_up:false ~source recipient with
+  | Initiator.Abandoned, None -> ()
+  | _ -> Alcotest.fail "a dead peer cannot sync");
   let p = Transport.default_retry_policy in
   let c = Node.counters recipient in
   Alcotest.(check int) "a dial per attempt" (p.Transport.max_retries + 1)
     c.Counters.connections_opened
+
+(* The machine's timeline, step by step, for a policy and a sequence of
+   jitter draws: each attempt fails by its deadline ([`Timeout]) or
+   early ([`Fails_after dt]). Every deadline must be exactly
+   [now + timeout], every retry time exactly [now + Flow.jittered], a
+   timer one ulp early must change nothing, and the abandon must draw
+   no jitter. *)
+let timeline_cases =
+  let p = Transport.default_retry_policy in
+  [
+    ("default policy, all timeouts", p, [ 0.25; 0.5; 0.75 ], [ `Timeout; `Timeout; `Timeout; `Timeout ]);
+    ( "daemon timeout, early failures",
+      { p with Transport.timeout = 0.5 },
+      [ 0.1; 0.9; 0.3 ],
+      [ `Fails_after 0.01; `Timeout; `Fails_after 0.3; `Timeout ] );
+    ( "capped backoff, no jitter",
+      { p with Transport.max_retries = 5; jitter = 0.0; backoff_max = 1.0 },
+      [ 0.7; 0.7; 0.7; 0.7; 0.7 ],
+      [ `Timeout; `Timeout; `Timeout; `Timeout; `Timeout; `Fails_after 0.0 ] );
+    ("no retry budget", { p with Transport.max_retries = 0 }, [], [ `Timeout ]);
+  ]
+
+let exact what want got = Alcotest.(check (float 0.0)) what want got
+
+let test_initiator_timeline () =
+  List.iter
+    (fun (name, policy, us, fates) ->
+      let c = Counters.create () in
+      let draws = ref us in
+      let jitter () =
+        match !draws with
+        | u :: rest ->
+          draws := rest;
+          u
+        | [] -> Alcotest.failf "%s: jitter drawn past the table" name
+      in
+      let m, first = Initiator.start policy in
+      let last = List.length fates - 1 in
+      let rec run k now action = function
+        | [] -> action
+        | fate :: fates -> (
+          (match action with
+          | Initiator.Send a -> Alcotest.(check int) (name ^ ": attempt number") k a
+          | _ -> Alcotest.failf "%s: attempt %d was not sent" name k);
+          let deadline = now +. policy.Transport.timeout in
+          (match Initiator.sent m ~now with
+          | Initiator.Wake_at d -> exact (name ^ ": deadline = now + timeout") deadline d
+          | _ -> Alcotest.failf "%s: sent must arm the deadline" name);
+          let before = c.Counters.timeouts in
+          (match Initiator.timer m ~counters:c ~now:(Float.pred deadline) ~jitter with
+          | Initiator.Wake_at d -> exact (name ^ ": early timer keeps the deadline") deadline d
+          | _ -> Alcotest.failf "%s: an early timer must do nothing" name);
+          Alcotest.(check int) (name ^ ": early timer charges nothing") before c.Counters.timeouts;
+          let now, verdict =
+            match fate with
+            | `Timeout -> (deadline, Initiator.timer m ~counters:c ~now:deadline ~jitter)
+            | `Fails_after dt ->
+              let now = now +. dt in
+              (now, Initiator.failed m ~counters:c ~now ~jitter)
+          in
+          match Transport.Flow.on_timeout policy ~attempt:k with
+          | Transport.Flow.Abandon ->
+            Alcotest.(check int) (name ^ ": abandons after the last attempt") last k;
+            verdict
+          | Transport.Flow.Retry { backoff; _ } ->
+            let u = List.nth us k in
+            let retry_at = now +. Transport.Flow.jittered policy backoff ~u in
+            (match verdict with
+            | Initiator.Wake_at r -> exact (name ^ ": retry at now + jittered backoff") retry_at r
+            | _ -> Alcotest.failf "%s: attempt %d must back off" name k);
+            (match Initiator.timer m ~counters:c ~now:(Float.pred retry_at) ~jitter with
+            | Initiator.Wake_at r -> exact (name ^ ": early timer keeps the retry time") retry_at r
+            | _ -> Alcotest.failf "%s: an early timer must not re-send" name);
+            run (k + 1) retry_at (Initiator.timer m ~counters:c ~now:retry_at ~jitter) fates)
+      in
+      (match run 0 3.7 first fates with
+      | Initiator.Abandoned -> ()
+      | _ -> Alcotest.failf "%s: must end abandoned" name);
+      Alcotest.(check int) (name ^ ": every jitter draw used, none on abandon") 0
+        (List.length !draws);
+      Alcotest.(check int) (name ^ ": timeouts") (last + 1) c.Counters.timeouts;
+      Alcotest.(check int) (name ^ ": retries") last c.Counters.retries;
+      Alcotest.(check int) (name ^ ": abandoned") 1 c.Counters.sessions_abandoned;
+      Alcotest.(check bool) (name ^ ": nothing left to wake for") true
+        (Initiator.due m = infinity))
+    timeline_cases;
+  (* A reply landing in the backoff window — a superseded attempt's —
+     completes the session; no further timer has work. *)
+  let c = Counters.create () in
+  let m, _ = Initiator.start Transport.default_retry_policy in
+  let deadline =
+    match Initiator.sent m ~now:1.0 with
+    | Initiator.Wake_at d -> d
+    | _ -> Alcotest.fail "sent must arm the deadline"
+  in
+  (match Initiator.timer m ~counters:c ~now:deadline ~jitter:(fun () -> 0.5) with
+  | Initiator.Wake_at _ -> ()
+  | _ -> Alcotest.fail "the first timeout must back off");
+  (match Initiator.state m with
+  | Initiator.Backoff { attempt = 1; _ } -> ()
+  | _ -> Alcotest.fail "expected backoff before attempt 1");
+  (match Initiator.reply m with
+  | Initiator.Completed -> ()
+  | _ -> Alcotest.fail "a reply in backoff must complete");
+  Alcotest.(check bool) "finished" true (Initiator.state m = Initiator.Finished);
+  Alcotest.(check int) "one timeout" 1 c.Counters.timeouts;
+  Alcotest.(check int) "one retry" 1 c.Counters.retries;
+  Alcotest.(check int) "no abandon" 0 c.Counters.sessions_abandoned;
+  match Initiator.timer m ~counters:c ~now:1e9 ~jitter:(fun () -> 0.5) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a finished session takes no timer"
 
 (* ---------- the socket transport, in one process ---------- *)
 
@@ -275,60 +414,82 @@ let cluster_dir name =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   dir
 
-(* One full session over a real Unix-domain socket: handshake, record
-   framing across the stream, frame dispatch, reply — and the states
-   land exactly where the in-memory seam lands them. *)
+(* The next whole record on a non-blocking connection, the way the
+   daemon's loop reads: select, [read_into], [next_record]. *)
+let await_record conn =
+  let stop = Unix.gettimeofday () +. 5.0 in
+  let rec loop () =
+    match Socket_transport.next_record conn with
+    | Some record -> record
+    | None -> (
+      let wait = stop -. Unix.gettimeofday () in
+      if wait <= 0.0 then Alcotest.fail "no record within 5 s";
+      match Unix.select [ Socket_transport.fd conn ] [] [] wait with
+      | [], _, _ -> loop ()
+      | _ -> (
+        match Socket_transport.read_into conn with
+        | `Data -> loop ()
+        | `Eof -> Alcotest.fail "peer closed the connection"
+        | `Error e -> Alcotest.fail ("read: " ^ e))
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
+  in
+  loop ()
+
+(* Write out everything buffered on a non-blocking connection. *)
+let flush_all conn =
+  let rec loop () =
+    match Socket_transport.flush_output conn with
+    | `Drained -> ()
+    | `Blocked ->
+      let (_ : _ * _ * _) = Unix.select [] [ Socket_transport.fd conn ] [] 1.0 in
+      loop ()
+    | `Error e -> Alcotest.fail ("flush: " ^ e)
+  in
+  loop ()
+
+(* One full session over a real Unix-domain socket, the passive side on
+   the daemon's own path (non-blocking accept, handshake and records
+   through [read_into]): record framing across the stream, frame
+   dispatch, reply — and the states land exactly where the framed pull
+   lands them. *)
 let test_socket_unix_session () =
   let source, recipient = fresh_pair () in
   let path = Filename.concat (Lazy.force temp_dir) "seam.sock" in
   let listen = Socket_transport.Unix_path path in
-  let server =
-    match Socket_transport.create ~listen ~id:0 ~peers:[] () with
-    | Ok t -> t
-    | Error e -> Alcotest.fail ("server create: " ^ e)
-  in
-  let client =
-    match Socket_transport.create ~id:1 ~peers:[ (0, listen) ] () with
-    | Ok t -> t
-    | Error e -> Alcotest.fail ("client create: " ^ e)
-  in
+  let server = require (Socket_transport.create ~listen ~id:0 ~peers:[] ()) in
+  let client = require (Socket_transport.create ~id:1 ~peers:[ (0, listen) ] ()) in
   Fun.protect
     ~finally:(fun () ->
       Socket_transport.close server;
       Socket_transport.close client)
     (fun () ->
-      let conn =
-        match Socket_transport.connect client ~peer:0 with
-        | Ok c -> c
-        | Error e -> Alcotest.fail ("connect: " ^ e)
-      in
+      let conn = require (Socket_transport.connect client ~peer:0) in
       let request = Frame.encode_request recipient ~dst:0 in
-      (match Socket_transport.send conn (Transport.Record.frame request) with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail ("send: " ^ e));
+      require (Socket_transport.send conn (Transport.Record.frame request));
+      let lfd = Option.get (Socket_transport.listen_fd server) in
       let server_conn =
-        match Socket_transport.accept ~timeout:5.0 server with
-        | Ok c -> c
-        | Error e -> Alcotest.fail ("accept: " ^ e)
+        match Unix.select [ lfd ] [] [] 5.0 with
+        | [], _, _ -> Alcotest.fail "no inbound connection within 5 s"
+        | _ -> (
+          match Socket_transport.accept_nonblocking server with
+          | Ok (Some c) -> c
+          | Ok None -> Alcotest.fail "listener readable but nothing to accept"
+          | Error e -> Alcotest.fail ("accept: " ^ e))
       in
+      Alcotest.(check bool) "identity unknown before the handshake" false
+        (Socket_transport.handshake_done server_conn);
+      let record = await_record server_conn in
       (* The handshake identified the dialing node. *)
-      Alcotest.(check int) "handshake peer id" 1
-        (Socket_transport.peer server_conn);
-      (match Socket_transport.recv ~timeout:5.0 server_conn with
-      | Error e -> Alcotest.fail ("server recv: " ^ e)
-      | Ok record -> (
-        match Transport.Record.classify record with
-        | Ok (Transport.Record.Frame frame) -> (
-          Alcotest.(check string) "frame bytes survive the stream" request frame;
-          match Transport.serve_frame source ~src:1 frame with
-          | Some reply -> (
-            match
-              Socket_transport.send server_conn (Transport.Record.frame reply)
-            with
-            | Ok () -> ()
-            | Error e -> Alcotest.fail ("reply send: " ^ e))
-          | None -> Alcotest.fail "request must be answered")
-        | _ -> Alcotest.fail "expected a frame record"));
+      Alcotest.(check int) "handshake peer id" 1 (Socket_transport.peer server_conn);
+      (match Transport.Record.classify record with
+      | Ok (Transport.Record.Frame frame) -> (
+        Alcotest.(check string) "frame bytes survive the stream" request frame;
+        match Transport.serve_frame source ~src:1 frame with
+        | Some reply ->
+          require (Socket_transport.send server_conn (Transport.Record.frame reply));
+          flush_all server_conn
+        | None -> Alcotest.fail "request must be answered")
+      | _ -> Alcotest.fail "expected a frame record");
       (match Socket_transport.recv ~timeout:5.0 conn with
       | Error e -> Alcotest.fail ("client recv: " ^ e)
       | Ok record -> (
@@ -658,11 +819,18 @@ let test_daemon_kill_idle_cached_peer () =
       Harness.kill h ~node:1;
       require (Harness.update h ~node:0 ~item:"c.0" (set "while down"));
       Harness.restart h ~node:1;
+      (* A write only the restarted peer holds: convergence now needs
+         the survivor to pull from it. Without it, node 1's own pull
+         could converge the pair while the survivor still sits in the
+         backoff of an attempt that raced the kill. *)
+      require (Harness.update h ~node:1 ~item:"d.1" (set "after the restart"));
       await h;
       Alcotest.(check bool) "acked pre-kill write survived" true
         (require (Harness.read h ~node:1 ~item:"b.1") = Some "acked before the kill");
       Alcotest.(check bool) "missed write caught up" true
         (require (Harness.read h ~node:1 ~item:"c.0") = Some "while down");
+      Alcotest.(check bool) "the survivor pulled from the restarted peer" true
+        (require (Harness.read h ~node:0 ~item:"d.1") = Some "after the restart");
       Alcotest.(check bool) "the survivor re-dialed the restarted peer" true
         (opened 0 > dialed))
 
@@ -837,6 +1005,8 @@ let suite =
       test_sim_first_loss_recovers;
     Alcotest.test_case "sim: dead peer abandons" `Quick
       test_sim_dead_peer_abandons;
+    Alcotest.test_case "initiator: timeline, table-driven" `Quick
+      test_initiator_timeline;
     Alcotest.test_case "socket: one session over a unix socket" `Quick
       test_socket_unix_session;
     Alcotest.test_case "socket: partial writes reassemble byte-identical" `Quick
