@@ -1135,13 +1135,20 @@ let cluster_cmd =
                 0
                 (List.init n Fun.id)
             in
+            let journals =
+              String.concat " "
+                (List.init n (fun node ->
+                     match Harness.journal h ~node with
+                     | Ok (records, bytes) -> Printf.sprintf "%d/%d" records bytes
+                     | Error _ -> "?"))
+            in
             Printf.printf
               "totals: %d conns opened, %d conn retries, %d wire bytes, %d \
-               timeouts, %d abandoned\n"
+               timeouts, %d abandoned; journal records/bytes per node: %s\n"
               (total "connections_opened")
               (total "connection_retries")
               (total "wire_bytes_sent") (total "timeouts")
-              (total "sessions_abandoned");
+              (total "sessions_abandoned") journals;
             `Ok ())
     end
   in

@@ -486,6 +486,21 @@ let accept_propagation ?(domains = 1) t ~source reply =
     Protocol.accept_delta t.ctx t.replicas.(0) ~source ~tails ~items
   | Message.Propagate_sharded deltas -> accept_sharded t ~domains ~source deltas
 
+(* A reply this node's [accept_propagation] would reject (wrong shard
+   shape or index) is not a no-op: it must still reach the accept and
+   raise there. *)
+let reply_is_noop t reply =
+  match reply with
+  | Message.You_are_current -> true
+  | Message.Propagate { tails; items } ->
+    t.shards = 1 && Protocol.delta_is_noop t.replicas.(0) ~tails ~items
+  | Message.Propagate_sharded deltas ->
+    List.for_all
+      (fun (d : Message.shard_delta) ->
+        d.shard >= 0 && d.shard < t.shards
+        && Protocol.delta_is_noop t.replicas.(d.shard) ~tails:d.tails ~items:d.items)
+      deltas
+
 (* ------------------------------------------------------------------ *)
 (* Out-of-bound copying (paper §5.2)                                   *)
 (* ------------------------------------------------------------------ *)

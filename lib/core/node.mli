@@ -280,6 +280,12 @@ val accept_propagation :
     the parallel section rather than interleaved, so a handler that
     mutates the node requires [domains = 1] (the default). *)
 
+val reply_is_noop : t -> Message.propagation_reply -> bool
+(** Read-only: [true] when {!accept_propagation} of this reply would
+    change nothing but counters — {!Protocol.delta_is_noop} on every
+    shard it carries ([You_are_current] trivially). A reply the accept
+    would reject with [Invalid_argument] is never a no-op. *)
+
 val intra_node_propagation : t -> string list -> unit
 (** [IntraNodePropagation] (Fig. 4) over the given items, each routed
     to its owning shard. Called automatically by {!accept_propagation}

@@ -407,6 +407,31 @@ let accept_delta ctx (rep : Replica.t) ~source ~tails ~items =
   intra_node_propagation ctx rep copied;
   { copied; conflicts = !conflict_count; resolved = !resolved_count }
 
+(* Read-only: would [accept_delta] leave this shard exactly as it is?
+   Yes when every shipped item's IVV equals the local regular copy's
+   (the [Equal] arm adopts nothing and skips no record) and every tail
+   record is already subsumed by its log component (the append loop
+   adds only [seq > latest_seq]); then nothing is copied, so the
+   trailing intra-node propagation has nothing to replay either. An
+   item with no local copy is never a no-op: accepting it would at
+   least materialize the item. Only counters would move. *)
+let delta_is_noop (rep : Replica.t) ~tails ~items =
+  List.for_all
+    (fun (sx : Message.shipped_item) ->
+      match Store.find_opt rep.store sx.name with
+      | Some local -> Vv.equal sx.ivv local.ivv
+      | None -> false)
+    items
+  && Array.length tails = Log_vector.dimension rep.logs
+  &&
+  let rec subsumed k =
+    k = Array.length tails
+    || (let latest = Log_component.latest_seq (Log_vector.component rep.logs k) in
+        List.for_all (fun (r : Log_record.t) -> r.seq <= latest) tails.(k))
+       && subsumed (k + 1)
+  in
+  subsumed 0
+
 (* ------------------------------------------------------------------ *)
 (* Out-of-bound copying (paper §5.2)                                   *)
 (* ------------------------------------------------------------------ *)

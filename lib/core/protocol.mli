@@ -85,6 +85,15 @@ val accept_delta :
     {!intra_node_propagation} over the copied items. The caller hits
     the ["accept.begin"] failpoint once per session. *)
 
+val delta_is_noop :
+  Replica.t -> tails:Edb_log.Log_record.t list array -> items:Message.shipped_item list -> bool
+(** Read-only: [true] when {!accept_delta} on this shard's delta would
+    change nothing but counters — every shipped item's IVV is [Equal]
+    to the local regular copy's (a missing local copy does not count as
+    equal) and every tail record's seq is at most its log component's
+    [latest_seq]. A second source answering the same request with what
+    the first already delivered is the common case. *)
+
 val serve_out_of_bound : Replica.t -> Message.oob_request -> Message.oob_reply
 
 val accept_out_of_bound :

@@ -1,14 +1,50 @@
 (* Adler-32 (RFC 1950): simple, fast, and good enough to catch the
-   truncation/corruption failure modes a snapshot file meets. *)
-let adler32 data =
-  let modulus = 65_521 in
+   truncation/corruption failure modes a snapshot file or journal frame
+   meets. The sums are reduced once per [nmax]-byte block rather than
+   per byte: 5552 is zlib's NMAX, the largest block after which [b]
+   cannot exceed 2^32 even if every byte is 0xFF, so the output is the
+   per-byte reduction's bit for bit (OCaml's 63-bit ints would allow
+   more, but the bound keeps the argument the standard one). *)
+let adler_modulus = 65_521
+
+let adler_nmax = 5_552
+
+(* The kernel reads [Bytes] so {!Writer.contents} can checksum its
+   output buffer before the trailer goes in; strings reach it read-only
+   through [Bytes.unsafe_of_string]. *)
+let adler32_bytes data ~off ~len =
   let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun c ->
-      a := (!a + Char.code c) mod modulus;
-      b := (!b + !a) mod modulus)
-    data;
+  let pos = ref off in
+  let stop = off + len in
+  while !pos < stop do
+    let block_end = min stop (!pos + adler_nmax) in
+    (* Four bytes per iteration: b gains 4a + 4c0 + 3c1 + 2c2 + c3. *)
+    let i = ref !pos in
+    while !i + 4 <= block_end do
+      let c0 = Char.code (Bytes.unsafe_get data !i) in
+      let c1 = Char.code (Bytes.unsafe_get data (!i + 1)) in
+      let c2 = Char.code (Bytes.unsafe_get data (!i + 2)) in
+      let c3 = Char.code (Bytes.unsafe_get data (!i + 3)) in
+      b := !b + (4 * !a) + (4 * c0) + (3 * c1) + (2 * c2) + c3;
+      a := !a + c0 + c1 + c2 + c3;
+      i := !i + 4
+    done;
+    while !i < block_end do
+      a := !a + Char.code (Bytes.unsafe_get data !i);
+      b := !b + !a;
+      incr i
+    done;
+    a := !a mod adler_modulus;
+    b := !b mod adler_modulus;
+    pos := block_end
+  done;
   (!b lsl 16) lor !a
+
+let adler32 ?(off = 0) ?len data =
+  let len = match len with Some l -> l | None -> String.length data - off in
+  if off < 0 || len < 0 || off > String.length data - len then
+    invalid_arg "Codec.adler32: range outside the string";
+  adler32_bytes (Bytes.unsafe_of_string data) ~off ~len
 
 module Writer = struct
   type t = Buffer.t
@@ -72,11 +108,14 @@ module Writer = struct
     int t (Array.length xs);
     Array.iter (encode t) xs
 
+  (* One copy: the payload is blitted into the result, which is then
+     checksummed in place. *)
   let contents t =
-    let payload = Buffer.contents t in
-    let trailer = Bytes.create 4 in
-    Bytes.set_int32_le trailer 0 (Int32.of_int (adler32 payload));
-    payload ^ Bytes.to_string trailer
+    let len = Buffer.length t in
+    let out = Bytes.create (len + 4) in
+    Buffer.blit t 0 out 0 len;
+    Bytes.set_int32_le out len (Int32.of_int (adler32_bytes out ~off:0 ~len));
+    Bytes.unsafe_to_string out
 end
 
 module Reader = struct
@@ -90,11 +129,10 @@ module Reader = struct
     let len = String.length data in
     if len < 4 then corrupt "snapshot shorter than its checksum trailer";
     let payload_len = len - 4 in
-    let payload = String.sub data 0 payload_len in
     let stored =
       Int32.to_int (String.get_int32_le data payload_len) land 0xFFFFFFFF
     in
-    let actual = adler32 payload in
+    let actual = adler32 ~len:payload_len data in
     if stored <> actual then
       corrupt "checksum mismatch: stored %08x, computed %08x" stored actual;
     { data; limit = payload_len; pos = 0 }

@@ -8,6 +8,17 @@
     and an Adler-32 style checksum trailer so a truncated or corrupted
     payload is rejected instead of silently loaded. *)
 
+val adler32 : ?off:int -> ?len:int -> string -> int
+(** [adler32 ~off ~len s] is the Adler-32 (RFC 1950) of the [len]
+    bytes of [s] starting at [off] (defaults: the whole string), as a
+    non-negative 32-bit value. The one checksum kernel of the
+    persistence layer: {!Writer.contents}' trailer, {!Wal}'s record
+    frames and {!Snapshot}'s payload guard all call it, each over the
+    bytes where they already lie — no caller copies a payload to
+    checksum it. The sums are reduced once per 5552-byte block (zlib's
+    NMAX) instead of once per byte, with the same output.
+    [Invalid_argument] if the range is outside [s]. *)
+
 module Writer : sig
   type t
 
@@ -51,7 +62,8 @@ module Writer : sig
   val array : t -> (t -> 'a -> unit) -> 'a array -> unit
 
   val contents : t -> string
-  (** The payload followed by a 4-byte checksum trailer. *)
+  (** The payload followed by a 4-byte {!adler32} trailer, built with
+      one copy of the payload. *)
 end
 
 module Reader : sig
@@ -61,8 +73,8 @@ module Reader : sig
   (** Raised on truncation, trailing garbage, or checksum mismatch. *)
 
   val create : string -> t
-  (** [create data] validates the checksum trailer immediately and
-      raises {!Corrupt} if it does not match. *)
+  (** [create data] validates the checksum trailer immediately (over
+      [data] in place) and raises {!Corrupt} if it does not match. *)
 
   val int : t -> int
 

@@ -29,9 +29,10 @@ type t = {
 
 let snapshot_path dir = Filename.concat dir "node.snap"
 
-let wal_path dir = Filename.concat dir "node.wal"
+let journal_path ~dir = Filename.concat dir "node.wal"
 
-(* Journal entries. *)
+(* Journal entries: one {!Codec} blob per session effect, opening with
+   its tag (listed in the .mli). Tag 1 is replayed, never written. *)
 
 let encode_update item op =
   Codec.Writer.with_scratch (fun w ->
@@ -42,9 +43,9 @@ let encode_update item op =
 
 let encode_reply ~source reply =
   Codec.Writer.with_scratch (fun w ->
-      Codec.Writer.int w 1;
+      Codec.Writer.int w 5;
       Codec.Writer.int w source;
-      Wire.encode_propagation_reply w reply;
+      Wire_v2.encode_propagation_reply w reply;
       Codec.Writer.contents w)
 
 let encode_oob ~source reply =
@@ -85,9 +86,12 @@ let apply_journal_record node_ref membership record =
     let item = Codec.Reader.string r in
     let op = Wire.decode_operation r in
     Node.update node item op
-  | 1 ->
+  | (1 | 5) as tag ->
     let source = Codec.Reader.int r in
-    let reply = Wire.decode_propagation_reply r in
+    let reply =
+      if tag = 1 then Wire.decode_propagation_reply r
+      else Wire_v2.decode_propagation_reply r ~n:(Node.dimension node)
+    in
     let (_ : Node.accept_result) = Node.accept_propagation node ~source reply in
     ()
   | 2 ->
@@ -146,13 +150,13 @@ let open_or_create ?policy ?mode ?(shards = 1) ~dir ~id ~n () =
       let node_ref = ref node in
       let membership = ref [] in
       match
-        Wal.replay ~path:(wal_path dir)
+        Wal.replay ~path:(journal_path ~dir)
           ~f:(apply_journal_record node_ref membership)
       with
       | Error _ as e -> e
       | exception Codec.Reader.Corrupt msg -> Error ("corrupt journal record: " ^ msg)
       | Ok replay_result ->
-        let wal = Wal.open_writer ~path:(wal_path dir) in
+        let wal = Wal.open_writer ~path:(journal_path ~dir) in
         Ok
           ( {
               node = !node_ref;
@@ -194,36 +198,35 @@ let update t item op =
   journal t (encode_update item op);
   Node.update t.node item op
 
-let pull_from t ~source =
-  let request = Node.propagation_request t.node in
-  let reply = Node.handle_propagation_request source request in
-  match reply with
-  | Message.You_are_current -> Node.Already_current
-  | Message.Propagate _ | Message.Propagate_sharded _ ->
-    (* Journal before applying: the WAL append is the commit point.
-       A crash before it (durable.journal.before, or a torn append via
-       wal.append.partial) loses nothing — recovery sees the pre-session
-       state and a later anti-entropy round re-pulls. A crash after it
-       (durable.apply.before, or any accept.* point inside
-       accept_propagation) re-applies the journaled reply on recovery,
-       yielding exactly the post-session state. Never torn. *)
-    Fault.hit "durable.journal.before";
-    journal t (encode_reply ~source:(Node.id source) reply);
-    Fault.hit "durable.apply.before";
-    Node.Pulled (Node.accept_propagation t.node ~source:(Node.id source) reply)
-
-let accept_reply t ~source reply =
-  match reply with
-  | Message.You_are_current -> ()
-  | Message.Propagate _ | Message.Propagate_sharded _ ->
-    (* Same commit discipline as [pull_from], for replies that arrived
-       as decoded frames from a remote transport rather than from an
-       in-process source node. *)
+(* A reply that changes nothing is neither journaled nor applied: replay
+   reaches every record in exactly the state its accept saw, so a no-op
+   then is a no-op at replay and its record could only cost bytes.
+   Anything else is journaled before it is applied: the WAL append is
+   the commit point. A crash before it (durable.journal.before, or a
+   torn append via wal.append.partial) loses nothing — recovery sees the
+   pre-session state and a later anti-entropy round re-pulls. A crash
+   after it (durable.apply.before, or any accept.* point inside
+   accept_propagation) re-applies the journaled reply on recovery,
+   yielding exactly the post-session state. Never torn. *)
+let commit_reply t ~source reply =
+  if Node.reply_is_noop t.node reply then { Node.copied = []; conflicts = 0; resolved = 0 }
+  else begin
     Fault.hit "durable.journal.before";
     journal t (encode_reply ~source reply);
     Fault.hit "durable.apply.before";
-    let (_ : Node.accept_result) = Node.accept_propagation t.node ~source reply in
-    ()
+    Node.accept_propagation t.node ~source reply
+  end
+
+let pull_from t ~source =
+  let request = Node.propagation_request t.node in
+  match Node.handle_propagation_request source request with
+  | Message.You_are_current -> Node.Already_current
+  | (Message.Propagate _ | Message.Propagate_sharded _) as reply ->
+    Node.Pulled (commit_reply t ~source:(Node.id source) reply)
+
+let accept_reply t ~source reply =
+  let (_ : Node.accept_result) = commit_reply t ~source reply in
+  ()
 
 let apply_push t ~source update =
   (* Same journal-before-apply discipline as pull_from. The push itself
@@ -266,8 +269,8 @@ let checkpoint t =
   sync t;
   Snapshot.save t.node ~path:(snapshot_path t.dir);
   Wal.close_writer t.wal;
-  Wal.reset ~path:(wal_path t.dir);
-  t.wal <- Wal.open_writer ~path:(wal_path t.dir);
+  Wal.reset ~path:(journal_path ~dir:t.dir);
+  t.wal <- Wal.open_writer ~path:(journal_path ~dir:t.dir);
   t.journal_records <- 0;
   t.membership <- []
 

@@ -15,6 +15,28 @@
     replay guarantees — rather than restart numbering from the
     checkpoint.
 
+    Each journal record is one session effect, tagged:
+    - 0: a user update;
+    - 2: an adopted out-of-bound reply;
+    - 3: a push (applied or stale);
+    - 4: a membership reshape;
+    - 5: a propagation reply, as its {!Wire_v2} body (decoded at replay
+      against the node's dimension at that point of the journal);
+    - 1: a propagation reply in the fixed-width {!Wire} v1 form. Older
+      builds wrote it; it is replayed, never written, so their journals
+      still open.
+    Tags 0, 2, 3 and 4 use the v1 codec, as do snapshots.
+
+    {b The no-op rule.} A propagation reply that would change nothing
+    ({!Edb_core.Node.reply_is_noop}: every shipped item's IVV equals the
+    local regular copy's and every tail record is already in its log
+    component) is neither journaled nor applied. The daemon opens its
+    sessions to every peer at once with the same DBVV, so after a crash
+    the second survivor's answer to a catch-up repeats the first one's;
+    without the rule the journal would hold it twice. Eliding it is
+    safe because replay reaches every record in exactly the state its
+    accept saw: a no-op then is a no-op at replay.
+
     Mutations must go through this wrapper's entry points; driving the
     wrapped {!node} directly bypasses the journal. *)
 
@@ -46,6 +68,9 @@ val open_or_create :
     {!node} may end at a different dimension or id — inspect it, and
     {!membership_log}, after opening. *)
 
+val journal_path : dir:string -> string
+(** The journal file {!open_or_create} keeps under [dir]. *)
+
 val node : t -> Edb_core.Node.t
 (** The live node. Read through it freely; mutate only through the
     wrapper. *)
@@ -55,14 +80,15 @@ val update : t -> string -> Edb_store.Operation.t -> unit
 
 val pull_from : t -> source:Edb_core.Node.t -> Edb_core.Node.pull_result
 (** One propagation session pulling from [source]: the source's reply
-    is journaled, then accepted. *)
+    is journaled (tag 5), then accepted — unless it is a no-op, which
+    is neither and reports [Pulled] with nothing copied. *)
 
 val accept_reply : t -> source:int -> Edb_core.Message.propagation_reply -> unit
 (** Journal, then accept, a propagation reply that arrived from a
     remote transport already decoded (the socket daemon's session
-    path) — the same commit discipline as {!pull_from}, which covers
-    the in-process case. [You_are_current] is a no-op and journals
-    nothing. *)
+    path) — the same commit discipline and no-op rule as {!pull_from},
+    which covers the in-process case. [You_are_current] is always a
+    no-op. *)
 
 val fetch_out_of_bound_from :
   t -> source:Edb_core.Node.t -> string -> Edb_core.Node.oob_result
@@ -126,6 +152,8 @@ val checkpoint : t -> unit
     any pending group-commit batch first). *)
 
 val journal_records : t -> int
-(** Records appended to the journal since the last checkpoint. *)
+(** Records in the journal since the last checkpoint: those replayed at
+    open plus those appended since. Elided no-op replies do not
+    count. *)
 
 val close : t -> unit

@@ -94,7 +94,7 @@ let encode node =
          trailer: a flipped bit in the node state is reported as state
          corruption rather than a generic framing error, and the
          payload stays verifiable even if re-framed. *)
-      Codec.Writer.int w (Wal.adler32 payload);
+      Codec.Writer.int w (Codec.adler32 payload);
       Codec.Writer.string w payload;
       Codec.Writer.contents w)
 
@@ -128,7 +128,7 @@ let decode ?policy ?conflict_handler ?mode blob =
     let stored = Codec.Reader.int r in
     let payload = Codec.Reader.string r in
     Codec.Reader.expect_end r;
-    let computed = Wal.adler32 payload in
+    let computed = Codec.adler32 payload in
     if stored <> computed then
       raise
         (Codec.Reader.Corrupt

@@ -1,14 +1,3 @@
-(* Adler-32, matching Codec's trailer algorithm. *)
-let adler32 data =
-  let modulus = 65_521 in
-  let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun c ->
-      a := (!a + Char.code c) mod modulus;
-      b := (!b + !a) mod modulus)
-    data;
-  (!b lsl 16) lor !a
-
 type writer = { channel : out_channel; path : string }
 
 let open_writer ~path =
@@ -35,7 +24,7 @@ let append ?(flush = true) w record =
   end
   else output_string w.channel record;
   let trailer = Bytes.create 4 in
-  Bytes.set_int32_le trailer 0 (Int32.of_int (adler32 record));
+  Bytes.set_int32_le trailer 0 (Int32.of_int (Codec.adler32 record));
   output_bytes w.channel trailer;
   if flush then Stdlib.flush w.channel
 
@@ -78,19 +67,21 @@ let replay ~path ~f =
               (Printf.sprintf
                  "WAL damaged: record %d at offset %d has negative length %d" count
                  pos len)
-          else if pos + 8 + len + 4 > limit then Ok { records = count; torn_tail = true }
+          else if len > limit - pos - 12 then
+            (* Written so it cannot overflow ([pos + 8 + len + 4] wraps
+               for a length near [max_int]), as in [Codec.Reader.need]. *)
+            Ok { records = count; torn_tail = true }
           else
-            let record = String.sub data (pos + 8) len in
             let stored =
               Int32.to_int (String.get_int32_le data (pos + 8 + len)) land 0xFFFFFFFF
             in
-            if stored <> adler32 record then
+            if stored <> Codec.adler32 ~off:(pos + 8) ~len data then
               Error
                 (Printf.sprintf
                    "WAL damaged: checksum mismatch in record %d at offset %d" count
                    pos)
             else begin
-              f record;
+              f (String.sub data (pos + 8) len);
               loop (pos + 8 + len + 4) (count + 1)
             end
       in

@@ -1,7 +1,8 @@
 (** A write-ahead (redo) log of opaque records.
 
     Framing per record: 8-byte length, payload, 4-byte Adler-32 of the
-    payload. {!replay} applies complete, checksummed records in order.
+    payload ({!Codec.adler32}, the same kernel as the codec trailer;
+    replay checksums each frame where it lies in the file buffer). {!replay} applies complete, checksummed records in order.
     It distinguishes two kinds of damage: a final frame {e cut short by
     end-of-file} is the torn tail of a crashed append — expected, the
     tail is discarded and reported so callers can log the data-loss
@@ -17,10 +18,6 @@
     sequence numbers other replicas may already have observed —
     re-assigning those to different updates would corrupt the
     epidemic, which is why recovery must replay rather than restart). *)
-
-val adler32 : string -> int
-(** The checksum used by the record framing (and by {!Snapshot}'s
-    payload guard) — Adler-32, matching [Codec]'s trailer. *)
 
 type writer
 

@@ -198,6 +198,13 @@ let counters_of t ~node =
   | Ok _ -> Error "unexpected control reply"
   | Error _ as e -> e
 
+let journal t ~node =
+  let path = Edb_persist.Durable_node.journal_path ~dir:t.procs.(node).p_dir in
+  match Edb_persist.Wal.replay ~path ~f:ignore with
+  | Error _ as e -> e
+  | Ok replay ->
+    Ok (replay.records, if Sys.file_exists path then (Unix.stat path).Unix.st_size else 0)
+
 let checkpoint t ~node = expect_ack (request t ~node Daemon.Control.Checkpoint)
 
 let reap ?(timeout = 5.0) pid =

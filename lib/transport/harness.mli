@@ -51,6 +51,10 @@ val counters_of : t -> node:int -> ((string * int) list, string) result
 (** The node's live counters, in {!Edb_metrics.Counters.fields}
     order. *)
 
+val journal : t -> node:int -> (int * int, string) result
+(** [(records, bytes)] of the node's journal as it is on disk now:
+    complete records since the last checkpoint, and the file size. *)
+
 val checkpoint : t -> node:int -> (unit, string) result
 
 val kill : t -> node:int -> unit

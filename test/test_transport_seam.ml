@@ -834,6 +834,81 @@ let test_daemon_kill_idle_cached_peer () =
       Alcotest.(check bool) "the survivor re-dialed the restarted peer" true
         (opened 0 > dialed))
 
+(* After a crash both survivors answer node 2's catch-up request with
+   the same backlog, because node 2 opens its sessions to every peer at
+   once with one DBVV. Only the first answer may reach the journal:
+   replayed record by record from a copy of node 2's journal, every
+   propagation-reply record must change the state. *)
+let test_daemon_catchup_journals_each_effect_once () =
+  let module Durable = Edb_persist.Durable_node in
+  let module Wal = Edb_persist.Wal in
+  let dir = cluster_dir "catchup-journal" in
+  let h = start_cluster ~ae_period:0.01 ~seed:77 ~dir ~n:3 () in
+  let records =
+    Fun.protect
+      ~finally:(fun () -> Harness.shutdown h)
+      (fun () ->
+        require (Harness.update h ~node:2 ~item:"pre.2" (set "before the kill"));
+        await h;
+        Harness.kill h ~node:2;
+        for i = 0 to 19 do
+          let node = i mod 2 in
+          require
+            (Harness.update h ~node ~item:(Printf.sprintf "k%d.%d" i node)
+               (set (Printf.sprintf "while node 2 is down %d" i)))
+        done;
+        (* Let the survivors converge, so their answers to node 2 are
+           the same backlog. *)
+        let stop = Unix.gettimeofday () +. 20.0 in
+        while
+          require (Harness.read h ~node:0 ~item:"k19.1") = None
+          || require (Harness.read h ~node:1 ~item:"k18.0") = None
+        do
+          if Unix.gettimeofday () > stop then Alcotest.fail "survivors did not converge";
+          Unix.sleepf 0.01
+        done;
+        Harness.restart h ~node:2;
+        await h;
+        Alcotest.(check bool) "node 2 caught up" true
+          (require (Harness.read h ~node:2 ~item:"k19.1") <> None);
+        let records = ref [] in
+        let (_ : Wal.replay_result) =
+          require
+            (Wal.replay
+               ~path:(Durable.journal_path ~dir:(Filename.concat dir "node2"))
+               ~f:(fun r -> records := r :: !records))
+        in
+        Array.of_list (List.rev !records))
+  in
+  (* The state after the first [k] records, recovered from a journal
+     holding just those. *)
+  let state_after k =
+    let replay_dir = cluster_dir (Printf.sprintf "catchup-journal-replay-%d" k) in
+    let path = Durable.journal_path ~dir:replay_dir in
+    Wal.reset ~path;
+    let w = Wal.open_writer ~path in
+    Array.iteri (fun i r -> if i < k then Wal.append w r) records;
+    Wal.close_writer w;
+    let d, _ = require (Durable.open_or_create ~dir:replay_dir ~id:2 ~n:3 ()) in
+    let state = Node.export_state (Durable.node d) in
+    Durable.close d;
+    state
+  in
+  let states = Array.init (Array.length records + 1) state_after in
+  let replies = ref 0 in
+  Array.iteri
+    (fun i record ->
+      let tag = Int64.to_int (String.get_int64_le record 0) in
+      if tag = 1 || tag = 5 then begin
+        incr replies;
+        Alcotest.(check bool)
+          (Printf.sprintf "reply record %d changes the state" i)
+          true
+          (states.(i) <> states.(i + 1))
+      end)
+    records;
+  Alcotest.(check bool) "the catch-up was journaled" true (!replies >= 1)
+
 (* The same harness over TCP (kernel-chosen ports). *)
 let test_daemon_tcp_smoke () =
   let h = start_cluster ~kind:`Tcp ~seed:44 ~dir:(cluster_dir "tcp") ~n:2 () in
@@ -1023,6 +1098,8 @@ let suite =
       test_daemon_crash_recovery;
     Alcotest.test_case "daemons: kill -9 of an idle cached peer" `Quick
       test_daemon_kill_idle_cached_peer;
+    Alcotest.test_case "daemons: catch-up journals each session effect once" `Quick
+      test_daemon_catchup_journals_each_effect_once;
     Alcotest.test_case "daemons: tcp smoke" `Quick test_daemon_tcp_smoke;
     Alcotest.test_case "wal: group commit syncs an exact prefix" `Quick
       test_group_commit_sync_prefix;

@@ -1,6 +1,8 @@
 (* Tests for the write-ahead log and the durable node wrapper. *)
 
 module Wal = Edb_persist.Wal
+module Codec = Edb_persist.Codec
+module Wire = Edb_persist.Wire
 module Durable = Edb_persist.Durable_node
 module Node = Edb_core.Node
 module Operation = Edb_store.Operation
@@ -142,6 +144,68 @@ let test_wal_reset () =
       Wal.reset ~path;
       let result = ok (Wal.replay ~path ~f:(fun _ -> ())) in
       Alcotest.(check int) "empty after reset" 0 result.Wal.records)
+
+(* A header claiming a length near [max_int] used to overflow the
+   frame-end arithmetic and make [String.sub] raise; it is a torn tail,
+   reported as one, and recovery still opens. *)
+let test_wal_huge_length_is_torn_tail () =
+  with_temp_file (fun path ->
+      Sys.remove path;
+      let w = Wal.open_writer ~path in
+      Wal.append w "intact";
+      Wal.close_writer w;
+      let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+      let header = Bytes.create 8 in
+      Bytes.set_int64_le header 0 (Int64.of_int (max_int - 5));
+      output_bytes oc header;
+      close_out oc;
+      let seen = ref [] in
+      let result = ok (Wal.replay ~path ~f:(fun r -> seen := r :: !seen)) in
+      Alcotest.(check int) "intact prefix" 1 result.Wal.records;
+      Alcotest.(check bool) "absurd claim read as a torn tail" true result.Wal.torn_tail;
+      Alcotest.(check (list string)) "prefix applied" [ "intact" ] !seen)
+
+(* ---------- The checksum kernel ---------- *)
+
+(* The textbook per-byte Adler-32: both sums reduced after every byte. *)
+let reference_adler32 s ~off ~len =
+  let a = ref 1 and b = ref 0 in
+  for i = off to off + len - 1 do
+    a := (!a + Char.code s.[i]) mod 65_521;
+    b := (!b + !a) mod 65_521
+  done;
+  (!b lsl 16) lor !a
+
+let prop_adler32_matches_reference =
+  let max_len = (3 * 5552) + 7 in
+  QCheck2.Test.make ~name:"adler32 kernel = per-byte reference" ~count:300
+    QCheck2.Gen.(
+      let* s = string_size ~gen:char (int_range 0 max_len) in
+      let* off = int_range 0 (String.length s) in
+      let* len = int_range 0 (String.length s - off) in
+      return (s, off, len))
+    (fun (s, off, len) ->
+      Codec.adler32 s = reference_adler32 s ~off:0 ~len:(String.length s)
+      && Codec.adler32 ~off ~len s = reference_adler32 s ~off ~len)
+
+(* All-0xFF input drives both sums to their largest values between
+   reductions: the worst case for reducing once per block. *)
+let test_adler32_worst_case_bytes () =
+  List.iter
+    (fun len ->
+      let s = String.make len '\255' in
+      Alcotest.(check int)
+        (Printf.sprintf "%d bytes of 0xFF" len)
+        (reference_adler32 s ~off:0 ~len) (Codec.adler32 s);
+      Alcotest.(check int)
+        (Printf.sprintf "%d bytes of 0xFF from offset 3" len)
+        (reference_adler32 s ~off:3 ~len:(len - 3))
+        (Codec.adler32 ~off:3 s))
+    [ 5551; 5552; 5553; 65_536; 65_536 + 5552 + 1 ];
+  Alcotest.(check int) "empty input" 1 (Codec.adler32 "");
+  Alcotest.check_raises "range past the end"
+    (Invalid_argument "Codec.adler32: range outside the string") (fun () ->
+      ignore (Codec.adler32 ~off:2 ~len:3 "abcd"))
 
 (* ---------- Durable node ---------- *)
 
@@ -418,59 +482,184 @@ let test_wal_bytes_stable_when_push_off () =
             (String.length r > 0 && r.[0] <> '\003'))
         !seen)
 
-(* Property: crash-recovery equivalence. For any script of updates and
-   pulls and any crash point, a node that recovers from disk is in the
-   same state as a node that executed the same operations in memory. *)
+(* ---------- One record per session effect ---------- *)
+
+let record_tag record = Int64.to_int (String.get_int64_le record 0)
+
+let journal_tags dir =
+  let tags = ref [] in
+  let (_ : Wal.replay_result) =
+    ok
+      (Wal.replay ~path:(Durable.journal_path ~dir) ~f:(fun r ->
+           tags := record_tag r :: !tags))
+  in
+  List.rev !tags
+
+(* The daemon's catch-up shape: node 0 asks sources 1 and 2 with one
+   DBVV and both answer. The second answer repeats the first, so it is
+   neither journaled nor applied; a later round where the second answer
+   is only partly redundant is journaled like any other. *)
+let test_durable_elides_duplicate_reply ~shards () =
+  with_temp_dir (fun dir ->
+      let s1 = Node.create ~shards ~id:1 ~n:3 () in
+      let s2 = Node.create ~shards ~id:2 ~n:3 () in
+      List.iter (fun i -> Node.update s1 (Printf.sprintf "k%d" i) (set "a")) [ 0; 1; 2; 3 ];
+      let (_ : Node.pull_result) = Node.pull ~recipient:s2 ~source:s1 () in
+      let d, _ = ok (Durable.open_or_create ~shards ~dir ~id:0 ~n:3 ()) in
+      Durable.update d "mine" (set "m");
+      let round () =
+        let request = Node.propagation_request (Durable.node d) in
+        let r1 = Node.handle_propagation_request s1 request in
+        let r2 = Node.handle_propagation_request s2 request in
+        let before = Durable.journal_records d in
+        Durable.accept_reply d ~source:1 r1;
+        Durable.accept_reply d ~source:2 r2;
+        Durable.journal_records d - before
+      in
+      Alcotest.(check int) "duplicate answer not journaled" 1 (round ());
+      (* Source 2 learns one more of source 1's writes and adds its own:
+         its answer now repeats source 1's but also carries news. *)
+      Node.update s1 "k0" (set "b");
+      let (_ : Node.pull_result) = Node.pull ~recipient:s2 ~source:s1 () in
+      Node.update s2 "own" (set "c");
+      Alcotest.(check int) "partly new answer journaled" 2 (round ());
+      Alcotest.(check (option string)) "both answers applied" (Some "c")
+        (Node.read (Durable.node d) "own");
+      let live = Node.export_state (Durable.node d) in
+      Alcotest.(check (list int)) "reply records are v2" [ 0; 5; 5; 5 ] (journal_tags dir);
+      Durable.close d;
+      let d, _ = ok (Durable.open_or_create ~shards ~dir ~id:0 ~n:3 ()) in
+      Alcotest.(check bool) "replay reproduces the live state" true
+        (Node.export_state (Durable.node d) = live);
+      Durable.close d)
+
+(* Journals written by older builds hold propagation replies as tag-1
+   v1 records. A journal of the same sessions in that form must replay
+   to the state the current tag-5 journal replays to. *)
+let test_durable_v1_reply_journal_compatible ~shards () =
+  let n = 3 in
+  let source = Node.create ~shards ~id:1 ~n () in
+  let replies = ref [] in
+  let live =
+    with_temp_dir (fun dir ->
+        let d, _ = ok (Durable.open_or_create ~shards ~dir ~id:0 ~n ()) in
+        List.iter
+          (fun i ->
+            Node.update source (Printf.sprintf "k%d" (i mod 3)) (set (Printf.sprintf "v%d" i));
+            let request = Node.propagation_request (Durable.node d) in
+            let reply = Node.handle_propagation_request source request in
+            replies := reply :: !replies;
+            Durable.accept_reply d ~source:1 reply)
+          [ 0; 1; 2; 3; 4 ];
+        Alcotest.(check (list int)) "current build writes tag 5" [ 5; 5; 5; 5; 5 ]
+          (journal_tags dir);
+        Durable.close d;
+        let d, _ = ok (Durable.open_or_create ~shards ~dir ~id:0 ~n ()) in
+        let state = Node.export_state (Durable.node d) in
+        Durable.close d;
+        state)
+  in
+  with_temp_dir (fun dir ->
+      Sys.mkdir dir 0o755;
+      let w = Wal.open_writer ~path:(Durable.journal_path ~dir) in
+      List.iter
+        (fun reply ->
+          let w' = Codec.Writer.create () in
+          Codec.Writer.int w' 1;
+          Codec.Writer.int w' 1;
+          Wire.encode_propagation_reply w' reply;
+          Wal.append w (Codec.Writer.contents w'))
+        (List.rev !replies);
+      Wal.close_writer w;
+      let d, replay = ok (Durable.open_or_create ~shards ~dir ~id:0 ~n ()) in
+      Alcotest.(check int) "every v1 record replayed" 5 replay.Wal.records;
+      Alcotest.(check bool) "v1 journal replays to the v2 journal's state" true
+        (Node.export_state (Durable.node d) = live);
+      Durable.close d)
+
+(* Property: crash-recovery equivalence. For any script of updates,
+   pulls, out-of-bound fetches and two-source rounds (one request
+   answered by both remotes, as the daemon's concurrent sessions do)
+   and any crash point, a node that recovers from disk is in the same
+   state as a node that executed the same operations in memory. *)
 let prop_crash_recovery_equivalence =
   QCheck2.Gen.(
-    let action = pair (int_bound 2) (int_bound 3) in
+    let action = pair (int_bound 3) (int_bound 3) in
     let gen = pair (list_size (int_range 1 25) action) (int_bound 25) in
     QCheck2.Test.make ~name:"crash recovery reproduces in-memory state" ~count:60 gen
       (fun (script, crash_at) ->
         with_temp_dir (fun dir ->
-            (* A remote peer provides propagation and OOB sources. *)
-            let make_remote () =
-              let remote = Node.create ~id:1 ~n:2 () in
+            (* Two remote peers provide propagation and OOB sources;
+               the second mirrors the first and sometimes writes too. *)
+            let make_remotes () =
+              let remote = Node.create ~id:1 ~n:3 () in
               Node.update remote "r1" (set "a");
               Node.update remote "r2" (set "b");
-              remote
+              (remote, Node.create ~id:2 ~n:3 ())
             in
-            let run_step ~update ~pull ~oob i (kind, rank) =
+            (* Both sources answer one request; the second answer is a
+               duplicate of the first or, on odd ranks, partly new. *)
+            let two_sources ~accept ~node (r1, r2) i rank =
+              Node.update r1 (Printf.sprintf "r%d" rank) (set (Printf.sprintf "v%d" i));
+              ignore (Node.pull ~recipient:r2 ~source:r1 ());
+              if rank mod 2 = 1 then
+                Node.update r2 (Printf.sprintf "s%d" rank) (set (Printf.sprintf "v%d" i));
+              let request = Node.propagation_request (node ()) in
+              let a = Node.handle_propagation_request r1 request in
+              let b = Node.handle_propagation_request r2 request in
+              accept ~source:1 a;
+              accept ~source:2 b
+            in
+            let run_step ~update ~pull ~oob ~two i (kind, rank) =
               let item = Printf.sprintf "i%d" rank in
               match kind with
               | 0 -> update item (set (Printf.sprintf "v%d" i))
               | 1 -> pull ()
-              | _ -> oob item
+              | 2 -> oob item
+              | _ -> two i rank
             in
             (* Reference: plain in-memory node. *)
-            let remote_a = make_remote () in
-            let reference = Node.create ~id:0 ~n:2 () in
+            let remotes_a = make_remotes () in
+            let reference = Node.create ~id:0 ~n:3 () in
             List.iteri
               (run_step
                  ~update:(fun item op -> Node.update reference item op)
                  ~pull:(fun () ->
-                   ignore (Node.pull ~recipient:reference ~source:remote_a ()))
+                   ignore (Node.pull ~recipient:reference ~source:(fst remotes_a) ()))
                  ~oob:(fun item ->
-                   ignore (Node.fetch_out_of_bound ~recipient:reference ~source:remote_a item)))
+                   ignore
+                     (Node.fetch_out_of_bound ~recipient:reference ~source:(fst remotes_a)
+                        item))
+                 ~two:
+                   (two_sources
+                      ~accept:(fun ~source reply ->
+                        ignore (Node.accept_propagation reference ~source reply))
+                      ~node:(fun () -> reference)
+                      remotes_a))
               script;
             (* Durable run with a crash (close + reopen) at [crash_at]. *)
-            let remote_b = make_remote () in
-            let d = ref (reopen ~dir ~id:0 ~n:2) in
+            let remotes_b = make_remotes () in
+            let d = ref (reopen ~dir ~id:0 ~n:3) in
             List.iteri
               (fun i step ->
                 if i = crash_at then begin
                   Durable.close !d;
-                  d := reopen ~dir ~id:0 ~n:2
+                  d := reopen ~dir ~id:0 ~n:3
                 end;
                 run_step
                   ~update:(fun item op -> Durable.update !d item op)
-                  ~pull:(fun () -> ignore (Durable.pull_from !d ~source:remote_b))
+                  ~pull:(fun () -> ignore (Durable.pull_from !d ~source:(fst remotes_b)))
                   ~oob:(fun item ->
-                    ignore (Durable.fetch_out_of_bound_from !d ~source:remote_b item))
+                    ignore (Durable.fetch_out_of_bound_from !d ~source:(fst remotes_b) item))
+                  ~two:
+                    (two_sources
+                       ~accept:(fun ~source reply -> Durable.accept_reply !d ~source reply)
+                       ~node:(fun () -> Durable.node !d)
+                       remotes_b)
                   i step)
               script;
             Durable.close !d;
-            let recovered = reopen ~dir ~id:0 ~n:2 in
+            let recovered = reopen ~dir ~id:0 ~n:3 in
             let state_of node = Node.export_state node in
             let norm (s : Node.State.t) =
               (* Item lists are exported in sorted name order, so the
@@ -497,6 +686,10 @@ let suite =
     Alcotest.test_case "wal complete-frame corruption is an error" `Quick
       test_wal_corrupt_last_record_is_error;
     Alcotest.test_case "wal reset" `Quick test_wal_reset;
+    Alcotest.test_case "wal huge length claim is a torn tail" `Quick
+      test_wal_huge_length_is_torn_tail;
+    QCheck_alcotest.to_alcotest prop_adler32_matches_reference;
+    Alcotest.test_case "adler32 worst-case bytes" `Quick test_adler32_worst_case_bytes;
     Alcotest.test_case "durable: recover updates" `Quick
       test_durable_fresh_and_recover_updates;
     Alcotest.test_case "durable: checkpoint resets journal" `Quick
@@ -519,4 +712,12 @@ let suite =
       test_durable_stale_push_journaled_but_inert;
     Alcotest.test_case "wal bytes stable with push off" `Quick
       test_wal_bytes_stable_when_push_off;
+    Alcotest.test_case "durable: duplicate reply not journaled" `Quick
+      (test_durable_elides_duplicate_reply ~shards:1);
+    Alcotest.test_case "durable: duplicate reply not journaled (sharded)" `Quick
+      (test_durable_elides_duplicate_reply ~shards:4);
+    Alcotest.test_case "durable: v1 reply journal replays" `Quick
+      (test_durable_v1_reply_journal_compatible ~shards:1);
+    Alcotest.test_case "durable: v1 reply journal replays (sharded)" `Quick
+      (test_durable_v1_reply_journal_compatible ~shards:4);
   ]
