@@ -1078,6 +1078,7 @@ let cluster_cmd =
         (fun () ->
           let items = [| "alpha"; "beta"; "gamma"; "delta" |] in
           let issued = ref 0 in
+          let last_write = ref None in
           let update ~node =
             (* Single-writer per item (the item name carries its owner):
                cross-node updates to one item would be genuine concurrent
@@ -1086,12 +1087,11 @@ let cluster_cmd =
             let item =
               Printf.sprintf "%s.%d" items.(!issued mod Array.length items) node
             in
-            let op =
-              Operation.Set (Printf.sprintf "v%d from node %d" !issued node)
-            in
-            (match Harness.update h ~node ~item op with
+            let value = Printf.sprintf "v%d from node %d" !issued node in
+            (match Harness.update h ~node ~item (Operation.Set value) with
             | Ok () -> ()
             | Error m -> failwith (Printf.sprintf "update on node %d: %s" node m));
+            last_write := Some (item, value);
             incr issued
           in
           (* First leg: updates spread round-robin over every node. *)
@@ -1115,7 +1115,30 @@ let cluster_cmd =
               update ~node:survivors.(i mod Array.length survivors)
             done;
             Printf.printf "restarting node %d over its WAL\n%!" victim;
-            Harness.restart h ~node:victim);
+            let restarted = Unix.gettimeofday () in
+            Harness.restart h ~node:victim;
+            (* How long the reopened victim takes to catch up: poll it
+               for the last survivor write. *)
+            match !last_write with
+            | Some (item, value) when updates > first ->
+              let rec poll () =
+                let read = Harness.read h ~node:victim ~item in
+                let elapsed = Unix.gettimeofday () -. restarted in
+                match read with
+                | Ok (Some v) when v = value -> Some elapsed
+                | _ when elapsed > deadline -> None
+                | _ ->
+                  Unix.sleepf 0.002;
+                  poll ()
+              in
+              (match poll () with
+              | Some elapsed ->
+                Printf.printf "node %d read the last survivor write %.3fs after its restart\n%!"
+                  victim elapsed
+              | None ->
+                Printf.printf "node %d did not read the last survivor write within %.0fs\n%!"
+                  victim deadline)
+            | _ -> ());
           match
             Harness.await_converged ~deadline
               ~invariant:(fun node -> Invariant.check_node node)

@@ -7,6 +7,7 @@ module Frame = Edb_persist.Frame
 module Codec = Edb_persist.Codec
 module Wire = Edb_persist.Wire
 module Snapshot = Edb_persist.Snapshot
+module Vv = Edb_vv.Version_vector
 module Durable_node = Edb_persist.Durable_node
 module Channel = Edb_push.Channel
 module T = Socket_transport
@@ -189,6 +190,10 @@ type t = {
      [mutable session : session option] this table replaced is the
      [max_sessions = 1] special case. *)
   sessions : (int, session) Hashtbl.t;
+  (* Set while the first round of a daemon reopened over existing
+     state is pulling from a single peer (see [create]): rounds top up
+     to one session until that session ends. *)
+  mutable sole_source : bool;
   (* Persistent non-blocking push connections, one per peer dialed on
      first flush: a slow push peer accumulates buffered frames (up to
      the transport's cap) instead of stalling the loop. *)
@@ -237,11 +242,18 @@ let jitter t () = Prng.float t.prng 1.0
 
 (* Carry out the machine's action. Whatever it decided, an attempt that
    is no longer in flight gives up its connection first — except on
-   completion, where [session_done] parks it. *)
+   completion, where [session_done] parks it. The sole-source session
+   ends with a reply, a nak, a failed attempt or an abandon; the next
+   round is then due at once, and tops up to capacity. *)
 let rec apply t s action =
   (match (action, Initiator.state s.machine) with
   | Initiator.Completed, _ | _, Initiator.In_flight _ -> ()
   | _ -> close_session_conn s);
+  (match Initiator.state s.machine with
+  | (Initiator.Backoff _ | Initiator.Finished) when t.sole_source ->
+    t.sole_source <- false;
+    t.next_ae <- neg_infinity
+  | _ -> ());
   match action with
   | Initiator.Send attempt -> attempt_session t s attempt
   | Initiator.Wake_at _ -> ()
@@ -295,6 +307,12 @@ let start_session t ~peer =
     apply t s first
   end
 
+(* Whether [s] is still the peer's session, waiting on a reply. *)
+let awaiting_reply t s =
+  match Hashtbl.find_opt t.sessions s.s_peer with
+  | Some s' -> s' == s && s.sconn <> None
+  | None -> false
+
 let session_reply t s frame =
   match Frame.decode_reply (node t) ~src:s.s_peer frame with
   | Frame.Nak _ | Frame.Reply (Message.You_are_current, _) ->
@@ -309,9 +327,9 @@ let session_capacity t = min t.config.Config.max_sessions (t.config.Config.n - 1
 (* Each anti-entropy tick tops the session table up to capacity with
    uniformly chosen distinct peers that are not already in-session —
    with [max_sessions = 1] this is exactly the old one-random-peer
-   tick. *)
+   tick, and a sole-source round is capped the same way. *)
 let top_up_sessions t =
-  let cap = session_capacity t in
+  let cap = if t.sole_source then 1 else session_capacity t in
   let active = Hashtbl.length t.sessions in
   if cap > active then begin
     let free = ref [] in
@@ -449,7 +467,17 @@ let create config =
       (* Group commit: handlers journal with the batch open, one WAL
          flush per loop turn releases it (see [finalize_turn]). *)
       Durable_node.set_group_commit durable true;
-      Ok
+      (* A daemon reopened over existing state has probably missed
+         updates, and one source's reply ships all of them (paper
+         Theorem 5: one DBVV covers the whole backlog). So its first
+         round runs now, to one uniformly drawn peer; the rest are
+         asked once that session ends (see [apply]), with the DBVV the
+         reply has already advanced, and answer you-are-current or
+         with a short tail instead of the backlog again. A fresh boot
+         has nothing to catch up on and keeps a stagger, so an
+         N-process boot doesn't dial in lockstep. *)
+      let reopened = Vv.sum (Node.dbvv_view (Durable_node.node durable)) > 0 in
+      let t =
         {
           config;
           durable;
@@ -459,15 +487,21 @@ let create config =
           started = now;
           conns = [];
           sessions = Hashtbl.create 8;
+          sole_source = reopened;
           push_conns = Hashtbl.create 8;
           idle = Hashtbl.create 8;
-          (* Stagger first rounds so an N-process boot doesn't dial in
-             lockstep. *)
-          next_ae = now +. (config.Config.ae_period *. (1.0 +. (float_of_int id /. float_of_int n)));
+          (* The first regular round: staggered on a fresh boot, one
+             period after the sole-source round on a reopen. *)
+          next_ae =
+            (let stagger = if reopened then 0.0 else float_of_int id /. float_of_int n in
+             now +. (config.Config.ae_period *. (1.0 +. stagger)));
           next_push =
             (match push with Some c -> now +. c.Channel.flush_period | None -> infinity);
           quit = false;
-        })
+        }
+      in
+      if reopened then top_up_sessions t;
+      Ok t)
 
 let listen_addr t = T.listen_addr t.transport
 
@@ -615,17 +649,15 @@ let step t =
               (* [session_reply] may close the connection; further
                  buffered records on it are duplicates and drop with
                  it. *)
-              match Hashtbl.find_opt t.sessions s.s_peer with
-              | Some s' when s' == s && s'.sconn <> None -> session_reply t s frame
-              | _ -> ())
+              if awaiting_reply t s then session_reply t s frame)
             | Ok (Transport.Record.Control _) | Error _ -> ()
           in
           match service_conn t conn ~on_record with
-          | `Open -> ()
-          | `Closed -> (
-            match Hashtbl.find_opt t.sessions s.s_peer with
-            | Some s' when s' == s && s'.sconn <> None -> session_attempt_failed t s
-            | _ -> ())
+          | `Open ->
+            (* Bytes came, but no whole reply yet: the deadline counts
+               from the last byte received. *)
+            if awaiting_reply t s then Initiator.progress s.machine ~now:(Unix.gettimeofday ())
+          | `Closed -> if awaiting_reply t s then session_attempt_failed t s
         end)
       session_conns;
     (* Push streams are write-only; a readable one is the peer closing

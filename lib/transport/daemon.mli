@@ -6,10 +6,18 @@
     blocks. Passively it answers requests (reply or nak) and applies
     pushes, journaling before applying. Actively each anti-entropy
     tick tops a table of per-peer initiator sessions up to
-    [max_sessions] distinct random peers. Every in-flight session is
-    just another fd in the select set, driving its own
-    {!Transport.Initiator} — the machine the simulation engine drives
-    too — fed [Unix.gettimeofday]: its reply deadline, retries and
+    [max_sessions] distinct random peers. A fresh boot staggers its
+    first tick to [ae_period * (1 + id/n)], so an N-process boot does
+    not dial in lockstep. A daemon reopened over existing state (a
+    non-zero recovered DBVV) instead runs its first round in
+    {!create}, to one random peer only; when that session ends (reply,
+    nak, failed attempt or abandon) the next round runs at once and
+    tops up to capacity. The other peers are thus asked with the DBVV
+    the first reply advanced, and the backlog crosses the wire once.
+    Every in-flight session is just another fd in the select set,
+    driving its own {!Transport.Initiator} — the machine the
+    simulation engine drives too — fed [Unix.gettimeofday]: its reply
+    deadline (counted from the last byte received), retries and
     abandonment are timers in the loop. A session that ends with a
     decoded reply or a nak parks its connection in a per-peer idle
     cache, and the next session to that peer sends on it: no dial, no
@@ -107,7 +115,9 @@ type t
 val create : Config.t -> (t, string) result
 (** Open (or recover) the durable node and bind the listening socket.
     Recovery replays the WAL over the latest checkpoint, so a daemon
-    restarted after [kill -9] resumes exactly where the journal ends. *)
+    restarted after [kill -9] resumes exactly where the journal ends;
+    when it recovered a non-zero DBVV, its sole-source first session
+    is opened here. *)
 
 val node : t -> Edb_core.Node.t
 

@@ -90,6 +90,14 @@ module Initiator = struct
       Wake_at deadline
     | In_flight _ | Backoff _ | Finished -> invalid_arg "Initiator.sent: nothing to send"
 
+  (* Part of a reply arrived: the peer is alive and sending, so the
+     deadline counts from the last byte received. *)
+  let progress m ~now =
+    match m.state with
+    | In_flight { attempt; _ } ->
+      m.state <- In_flight { attempt; deadline = now +. m.policy.timeout }
+    | Sending _ | Backoff _ | Finished -> ()
+
   (* A reply or nak ends the session, also one arriving in the backoff
      window from a superseded attempt. *)
   let reply m =

@@ -101,6 +101,16 @@ module Initiator : sig
   (** The attempt went out (or, for a dead simulated initiator, would
       have): arm its deadline. [Wake_at (now + timeout)]. *)
 
+  val progress : t -> now:float -> unit
+  (** Part of the reply arrived, but no whole record yet. [In_flight]:
+      re-arm the deadline to [now + timeout], so it counts from the
+      last byte received; any other state: nothing. The daemon calls
+      it; the simulation engine delivers whole messages and never
+      does. A peer that keeps trickling bytes therefore holds its
+      session open indefinitely — but only its own slot in the
+      daemon's session table: other peers' sessions, and the
+      anti-entropy rounds that top the table up, run on. *)
+
   val reply : t -> action
   (** A reply or nak was decoded — also one from a superseded attempt
       arriving in the backoff window. [Completed]. *)

@@ -283,11 +283,14 @@ let test_sim_dead_peer_abandons () =
     c.Counters.connections_opened
 
 (* The machine's timeline, step by step, for a policy and a sequence of
-   jitter draws: each attempt fails by its deadline ([`Timeout]) or
-   early ([`Fails_after dt]). Every deadline must be exactly
-   [now + timeout], every retry time exactly [now + Flow.jittered], a
-   timer one ulp early must change nothing, and the abandon must draw
-   no jitter. *)
+   jitter draws: each attempt fails by its deadline ([`Timeout]), early
+   ([`Fails_after dt]), or by the deadline its last trickled byte set
+   ([`Trickle arrivals], bytes [dt] after the send). Every deadline
+   must be exactly [now + timeout], re-armed by each byte to
+   [arrival + timeout], every retry time exactly
+   [now + Flow.jittered], a timer one ulp early must change nothing,
+   progress outside [In_flight] must change nothing, and the abandon
+   must draw no jitter. *)
 let timeline_cases =
   let p = Transport.default_retry_policy in
   [
@@ -301,6 +304,10 @@ let timeline_cases =
       [ 0.7; 0.7; 0.7; 0.7; 0.7 ],
       [ `Timeout; `Timeout; `Timeout; `Timeout; `Timeout; `Fails_after 0.0 ] );
     ("no retry budget", { p with Transport.max_retries = 0 }, [], [ `Timeout ]);
+    ( "daemon timeout, trickled replies",
+      { p with Transport.timeout = 0.5 },
+      [ 0.2; 0.6; 0.4 ],
+      [ `Trickle [ 0.3; 0.6; 0.9; 1.35 ]; `Fails_after 0.1; `Trickle [ 0.0; 0.49 ]; `Timeout ] );
   ]
 
 let exact what want got = Alcotest.(check (float 0.0)) what want got
@@ -318,6 +325,9 @@ let test_initiator_timeline () =
         | [] -> Alcotest.failf "%s: jitter drawn past the table" name
       in
       let m, first = Initiator.start policy in
+      Initiator.progress m ~now:3.7;
+      Alcotest.(check bool) (name ^ ": progress before the send changes nothing") true
+        (Initiator.due m = infinity);
       let last = List.length fates - 1 in
       let rec run k now action = function
         | [] -> action
@@ -329,6 +339,20 @@ let test_initiator_timeline () =
           (match Initiator.sent m ~now with
           | Initiator.Wake_at d -> exact (name ^ ": deadline = now + timeout") deadline d
           | _ -> Alcotest.failf "%s: sent must arm the deadline" name);
+          let deadline =
+            match fate with
+            | `Trickle arrivals ->
+              List.fold_left
+                (fun deadline dt ->
+                  let at = now +. dt in
+                  if at >= deadline then Alcotest.failf "%s: byte at +%g arrives too late" name dt;
+                  Initiator.progress m ~now:at;
+                  exact (name ^ ": a byte re-arms the deadline") (at +. policy.Transport.timeout)
+                    (Initiator.due m);
+                  at +. policy.Transport.timeout)
+                deadline arrivals
+            | `Timeout | `Fails_after _ -> deadline
+          in
           let before = c.Counters.timeouts in
           (match Initiator.timer m ~counters:c ~now:(Float.pred deadline) ~jitter with
           | Initiator.Wake_at d -> exact (name ^ ": early timer keeps the deadline") deadline d
@@ -336,7 +360,8 @@ let test_initiator_timeline () =
           Alcotest.(check int) (name ^ ": early timer charges nothing") before c.Counters.timeouts;
           let now, verdict =
             match fate with
-            | `Timeout -> (deadline, Initiator.timer m ~counters:c ~now:deadline ~jitter)
+            | `Timeout | `Trickle _ ->
+              (deadline, Initiator.timer m ~counters:c ~now:deadline ~jitter)
             | `Fails_after dt ->
               let now = now +. dt in
               (now, Initiator.failed m ~counters:c ~now ~jitter)
@@ -351,6 +376,8 @@ let test_initiator_timeline () =
             (match verdict with
             | Initiator.Wake_at r -> exact (name ^ ": retry at now + jittered backoff") retry_at r
             | _ -> Alcotest.failf "%s: attempt %d must back off" name k);
+            Initiator.progress m ~now:(Float.pred retry_at);
+            exact (name ^ ": progress in backoff keeps the retry time") retry_at (Initiator.due m);
             (match Initiator.timer m ~counters:c ~now:(Float.pred retry_at) ~jitter with
             | Initiator.Wake_at r -> exact (name ^ ": early timer keeps the retry time") retry_at r
             | _ -> Alcotest.failf "%s: an early timer must not re-send" name);
@@ -364,6 +391,7 @@ let test_initiator_timeline () =
       Alcotest.(check int) (name ^ ": timeouts") (last + 1) c.Counters.timeouts;
       Alcotest.(check int) (name ^ ": retries") last c.Counters.retries;
       Alcotest.(check int) (name ^ ": abandoned") 1 c.Counters.sessions_abandoned;
+      Initiator.progress m ~now:1e9;
       Alcotest.(check bool) (name ^ ": nothing left to wake for") true
         (Initiator.due m = infinity))
     timeline_cases;
@@ -732,6 +760,71 @@ let test_daemon_mute_peer_redials () =
       Alcotest.(check int) "the timed-out connection carried one request only" 1
         (requests_on 0))
 
+(* A peer that trickles a valid reply, a few bytes every 0.1 s over
+   three times the 0.5 s reply timeout. The deadline counts from the
+   last byte received, so the session completes on its first attempt
+   with no timeout, and the reply is applied. *)
+let test_daemon_trickling_peer_completes () =
+  let dir = cluster_dir "trickle" in
+  let source = Node.create ~id:1 ~n:2 () in
+  Node.update source "alpha" (set "trickled");
+  Node.update source "beta" (set (String.make 64 'b'));
+  let listener =
+    require (Socket_transport.create ~listen:(daemon_sock dir 1) ~id:1 ~peers:[] ())
+  in
+  let d = create_daemon ~ae_period:0.01 ~dir ~id:0 ~n:2 [ (1, daemon_sock dir 1) ] in
+  let timeout = 0.5 in
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.shutdown d;
+      Socket_transport.close listener)
+    (fun () ->
+      let c = Node.counters (Daemon.node d) in
+      let conn = ref None in
+      let request = ref None in
+      step_until [ d ] "the daemon's request" (fun () ->
+          (match !conn with
+          | None -> (
+            match Socket_transport.accept_nonblocking listener with
+            | Ok (Some accepted) -> conn := Some accepted
+            | Ok None | Error _ -> ())
+          | Some conn -> (
+            match Socket_transport.read_into conn with
+            | `Data -> request := Socket_transport.next_record conn
+            | `Eof | `Error _ -> Alcotest.fail "the daemon closed its session connection"));
+          !request <> None);
+      let conn = Option.get !conn in
+      let frame =
+        match Transport.Record.classify (Option.get !request) with
+        | Ok (Transport.Record.Frame frame) -> frame
+        | _ -> Alcotest.fail "expected a request frame"
+      in
+      let bytes = Frame.to_wire (Transport.Record.frame (Frame.respond source ~src:0 frame)) in
+      let chunks = 16 in
+      let interval = 3.0 *. timeout /. float_of_int (chunks - 1) in
+      let cut k = k * String.length bytes / chunks in
+      let sent_at = Unix.gettimeofday () in
+      for k = 0 to chunks - 1 do
+        if k > 0 then begin
+          let next = Unix.gettimeofday () +. interval in
+          while Unix.gettimeofday () < next do
+            Daemon.step d
+          done
+        end;
+        try
+          ignore
+            (Unix.write_substring (Socket_transport.fd conn) bytes (cut k) (cut (k + 1) - cut k)
+              : int)
+        with Unix.Unix_error _ -> ()
+      done;
+      Alcotest.(check bool) "the reply took over 3 reply timeouts to arrive" true
+        (Unix.gettimeofday () -. sent_at >= 3.0 *. timeout);
+      Alcotest.(check int) "no timeout while bytes kept coming" 0 c.Counters.timeouts;
+      step_until [ d ] "the trickled reply to apply" (fun () ->
+          Node.read (Daemon.node d) "alpha" = Some "trickled");
+      Alcotest.(check int) "completed on the first attempt" 0 c.Counters.timeouts;
+      Alcotest.(check int) "one dial" 1 c.Counters.connections_opened)
+
 (* ---------- multi-process daemons ---------- *)
 
 (* The daemons are `edb_cli serve` processes; dune builds edb_cli
@@ -834,9 +927,25 @@ let test_daemon_kill_idle_cached_peer () =
       Alcotest.(check bool) "the survivor re-dialed the restarted peer" true
         (opened 0 > dialed))
 
-(* After a crash both survivors answer node 2's catch-up request with
-   the same backlog, because node 2 opens its sessions to every peer at
-   once with one DBVV. Only the first answer may reach the journal:
+(* Poll [node] until it reads [value] at [item]; the seconds since
+   [since]. *)
+let await_read ?(deadline = 20.0) h ~node ~item value ~since =
+  let rec poll () =
+    let read = Harness.read h ~node ~item in
+    let elapsed = Unix.gettimeofday () -. since in
+    match read with
+    | Ok (Some v) when v = value -> elapsed
+    | _ when elapsed > deadline -> Alcotest.failf "node %d did not read %s" node item
+    | _ ->
+      Unix.sleepf 0.002;
+      poll ()
+  in
+  poll ()
+
+(* Concurrent sessions carry one DBVV to several peers, so two peers
+   can answer with the same records. A reopened node pulls its backlog
+   from one peer first, but the steady-state sessions after it still
+   race. Only the first copy of a record may reach the journal:
    replayed record by record from a copy of node 2's journal, every
    propagation-reply record must change the state. *)
 let test_daemon_catchup_journals_each_effect_once () =
@@ -851,22 +960,16 @@ let test_daemon_catchup_journals_each_effect_once () =
         require (Harness.update h ~node:2 ~item:"pre.2" (set "before the kill"));
         await h;
         Harness.kill h ~node:2;
+        let down i = Printf.sprintf "while node 2 is down %d" i in
         for i = 0 to 19 do
           let node = i mod 2 in
-          require
-            (Harness.update h ~node ~item:(Printf.sprintf "k%d.%d" i node)
-               (set (Printf.sprintf "while node 2 is down %d" i)))
+          require (Harness.update h ~node ~item:(Printf.sprintf "k%d.%d" i node) (set (down i)))
         done;
         (* Let the survivors converge, so their answers to node 2 are
            the same backlog. *)
-        let stop = Unix.gettimeofday () +. 20.0 in
-        while
-          require (Harness.read h ~node:0 ~item:"k19.1") = None
-          || require (Harness.read h ~node:1 ~item:"k18.0") = None
-        do
-          if Unix.gettimeofday () > stop then Alcotest.fail "survivors did not converge";
-          Unix.sleepf 0.01
-        done;
+        let since = Unix.gettimeofday () in
+        let (_ : float) = await_read h ~node:0 ~item:"k19.1" (down 19) ~since in
+        let (_ : float) = await_read h ~node:1 ~item:"k18.0" (down 18) ~since in
         Harness.restart h ~node:2;
         await h;
         Alcotest.(check bool) "node 2 caught up" true
@@ -908,6 +1011,85 @@ let test_daemon_catchup_journals_each_effect_once () =
       end)
     records;
   Alcotest.(check bool) "the catch-up was journaled" true (!replies >= 1)
+
+(* A daemon reopened over existing state pulls at once, from one peer:
+   the rounds are a second apart, yet node 2 reads the whole backlog
+   well within one of them, and only one survivor ships it — the other
+   is asked with the DBVV that first reply advanced. *)
+let test_daemon_reopen_catches_up_from_one_source () =
+  let h = start_cluster ~ae_period:1.0 ~seed:88 ~dir:(cluster_dir "reopen-one") ~n:3 () in
+  Fun.protect
+    ~finally:(fun () -> Harness.shutdown h)
+    (fun () ->
+      require (Harness.update h ~node:2 ~item:"pre.2" (set "before the kill"));
+      await h;
+      Harness.kill h ~node:2;
+      (* Item [i] is written on node [i mod 2]; each survivor holds the
+         other's last write once they have converged. *)
+      let item i = Printf.sprintf "k%d.%d" i (i mod 2) and value i = Printf.sprintf "%0100d" i in
+      let last = 1999 in
+      for i = 0 to last do
+        require (Harness.update h ~node:(i mod 2) ~item:(item i) (set (value i)))
+      done;
+      let since = Unix.gettimeofday () in
+      let (_ : float) = await_read h ~node:0 ~item:(item last) (value last) ~since in
+      let (_ : float) = await_read h ~node:1 ~item:(item (last - 1)) (value (last - 1)) ~since in
+      let wire node = List.assoc "wire_bytes_sent" (require (Harness.counters_of h ~node)) in
+      let before = Array.init 2 wire in
+      let restarted = Unix.gettimeofday () in
+      Harness.restart h ~node:2;
+      let caught_up = await_read h ~node:2 ~item:(item last) (value last) ~since:restarted in
+      let growth = Array.init 2 (fun node -> wire node - before.(node)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "node 2 caught up %.3f s after its restart (want < 0.9 s)" caught_up)
+        true (caught_up < 0.9);
+      let total = growth.(0) + growth.(1) and larger = max growth.(0) growth.(1) in
+      Alcotest.(check bool)
+        (Printf.sprintf "survivors sent %d + %d bytes (want the sum < 1.5 x the larger)"
+           growth.(0) growth.(1))
+        true
+        (float_of_int total < 1.5 *. float_of_int larger))
+
+(* Every node reopens at once over its own non-empty directory, so a
+   prompt first round can dial a peer that is not listening yet. The
+   refused dial costs one backoff at most (0.75 s under the daemon's
+   policy; a second failed attempt would add 1 to 1.5 s more): no
+   session is abandoned, and fresh writes converge well within 2 s. *)
+let test_daemon_whole_cluster_reopen () =
+  let n = 3 in
+  let h = start_cluster ~seed:99 ~dir:(cluster_dir "reopen-all") ~n () in
+  Fun.protect
+    ~finally:(fun () -> Harness.shutdown h)
+    (fun () ->
+      for node = 0 to n - 1 do
+        require (Harness.update h ~node ~item:(Printf.sprintf "pre.%d" node) (set "before"))
+      done;
+      await h;
+      for node = 0 to n - 1 do
+        Harness.stop h ~node
+      done;
+      for node = 0 to n - 1 do
+        Harness.restart h ~node
+      done;
+      for node = 0 to n - 1 do
+        require (Harness.update h ~node ~item:(Printf.sprintf "post.%d" node) (set "after"))
+      done;
+      match Harness.await_converged ~deadline:20.0 ~invariant:check_node h with
+      | Error e -> Alcotest.fail ("convergence: " ^ e)
+      | Ok elapsed ->
+        Alcotest.(check bool)
+          (Printf.sprintf "converged %.2f s after the writes (want < 2 s)" elapsed)
+          true (elapsed < 2.0);
+        for node = 0 to n - 1 do
+          Alcotest.(check (option string))
+            (Printf.sprintf "node %d holds node 0's pre-stop write" node)
+            (Some "before")
+            (require (Harness.read h ~node ~item:"pre.0"));
+          Alcotest.(check int)
+            (Printf.sprintf "node %d abandoned no session" node)
+            0
+            (List.assoc "sessions_abandoned" (require (Harness.counters_of h ~node)))
+        done)
 
 (* The same harness over TCP (kernel-chosen ports). *)
 let test_daemon_tcp_smoke () =
@@ -1092,6 +1274,8 @@ let suite =
       test_daemon_quiet_session_major_heap;
     Alcotest.test_case "daemons: mute peer times out and re-dials" `Quick
       test_daemon_mute_peer_redials;
+    Alcotest.test_case "daemons: a trickled reply completes without a timeout" `Quick
+      test_daemon_trickling_peer_completes;
     Alcotest.test_case "daemons: 2-process unix cluster converges" `Quick
       test_daemon_pair_converges;
     Alcotest.test_case "daemons: kill -9 recovery from the WAL" `Quick
@@ -1100,6 +1284,10 @@ let suite =
       test_daemon_kill_idle_cached_peer;
     Alcotest.test_case "daemons: catch-up journals each session effect once" `Quick
       test_daemon_catchup_journals_each_effect_once;
+    Alcotest.test_case "daemons: a reopened node catches up at once, from one source" `Quick
+      test_daemon_reopen_catches_up_from_one_source;
+    Alcotest.test_case "daemons: whole-cluster reopen still converges" `Quick
+      test_daemon_whole_cluster_reopen;
     Alcotest.test_case "daemons: tcp smoke" `Quick test_daemon_tcp_smoke;
     Alcotest.test_case "wal: group commit syncs an exact prefix" `Quick
       test_group_commit_sync_prefix;
