@@ -54,6 +54,7 @@ let check_micro path doc =
       "e12 idle pull round-trip"; "e15 cached idle round"; "sync-all";
       "e18 sharded skip"; "e18 sync-all"; "e19 reply codec v1";
       "e19 reply codec v2"; "e21 join bootstrap"; "e21 idle pull";
+      "e4 add-log-record over 16384 items"; "e23 journal replay";
     ];
   (* The daemon-path instances (E22): every fan-out present with a
      finite positive rate, and the concurrent loop must not lose to the

@@ -84,6 +84,18 @@ let test_e4 =
            ~item:(if !seq land 1 = 0 then "x" else "y")
            ~seq:!seq))
 
+(* E4 at scale — the same re-add, cycling over 16 384 distinct items, so
+   each add finds its pointer and moves a node that sits among 16k
+   others rather than one of two that never leave the cache. *)
+let test_e4_16k =
+  let component = Edb_log.Log_component.create () in
+  let names = Array.init 16_384 Workload.item_name in
+  let seq = ref 0 in
+  Test.make ~name:"e4 add-log-record over 16384 items"
+    (Staged.stage (fun () ->
+         incr seq;
+         Edb_log.Log_component.add component ~item:names.(!seq land 16_383) ~seq:!seq))
+
 (* E5 — serving an out-of-bound request is O(1) in the database size. *)
 let test_e5 =
   let cluster = seeded_pair ~n_items:16_384 ~dirty:0 in
@@ -451,6 +463,7 @@ let micro_tests ~shards =
     test_e2;
     test_e3;
     test_e4;
+    test_e4_16k;
     test_e5;
     test_e7;
     test_e8;
@@ -670,6 +683,66 @@ let run_daemon_benchmarks ~quick () =
       ])
     daemon_fanouts
 
+(* ------------------------------------------------------------------ *)
+(* E23 — recovery: journal replay per shipped item                     *)
+(*                                                                     *)
+(* A daemon's restart is checkpoint load plus WAL replay, and replay   *)
+(* re-runs AcceptPropagation for every item its journaled replies      *)
+(* shipped. The instance journals [rounds] pulls of a durable node 2   *)
+(* (n = 3) from a writer that makes 1000 updates of 100-byte values    *)
+(* over 14 000 items between pulls, then times [Durable_node.          *)
+(* open_or_create] over that journal: WAL scan, decode and apply. One  *)
+(* op is one shipped item; wall clock, best of the repetitions, so no  *)
+(* OLS fit and no minor words.                                         *)
+(* ------------------------------------------------------------------ *)
+
+module Durable = Edb_persist.Durable_node
+
+let run_replay_benchmark ~quick () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "edb-bench-replay-%d" (Unix.getpid ()))
+  in
+  rm_rf dir;
+  let open_node () =
+    match Durable.open_or_create ~dir ~id:2 ~n:3 () with
+    | Ok (d, _) -> d
+    | Error msg -> failwith ("replay bench: " ^ msg)
+  in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let writer = Node.create ~id:0 ~n:3 () in
+      let prng = Edb_util.Prng.create ~seed:23 in
+      let d = open_node () in
+      let shipped = ref 0 in
+      for round = 1 to if quick then 12 else 54 do
+        for _ = 1 to 1_000 do
+          let item = Workload.item_name (Edb_util.Prng.int prng 14_000) in
+          Node.update writer item
+            (Operation.Set (Workload.payload ~item ~seq:round ~size:100))
+        done;
+        match Durable.pull_from d ~source:writer with
+        | Node.Pulled r -> shipped := !shipped + List.length r.copied
+        | Node.Already_current -> ()
+      done;
+      Durable.close d;
+      let best = ref infinity in
+      for _ = 1 to if quick then 3 else 9 do
+        let t0 = Unix.gettimeofday () in
+        let d = open_node () in
+        best := Float.min !best (Unix.gettimeofday () -. t0);
+        Durable.close d
+      done;
+      [
+        {
+          name = "edb e23 journal replay per shipped item";
+          ns_per_op = Some (!best *. 1e9 /. float_of_int !shipped);
+          r_square = None;
+          minor_words = None;
+        };
+      ])
+
 let print_micro_table results =
   let table =
     Edb_metrics.Table.create
@@ -779,8 +852,9 @@ let () =
   print_endline "=== Daemon throughput (N-process select-loop cluster) ===";
   print_newline ();
   let daemon = run_daemon_benchmarks ~quick () in
+  let replay = run_replay_benchmark ~quick () in
   let results =
-    List.sort (fun a b -> String.compare a.name b.name) (results @ daemon)
+    List.sort (fun a b -> String.compare a.name b.name) (results @ daemon @ replay)
   in
   print_micro_table results;
   if json then write_json ~quick ~path:out experiments results

@@ -13,7 +13,7 @@ type t = {
 }
 
 let create ~n ~universe =
-  let stores = Array.init n (fun _ -> Store.create ~n) in
+  let stores = Array.init n (fun _ -> Store.create ~n ()) in
   (* Materialize the whole universe on every replica: per-item
      anti-entropy pays for every item, updated or not. *)
   Array.iter

@@ -20,7 +20,7 @@ type t = {
 
 let create ~n ~universe =
   let make _ =
-    let store = Store.create ~n in
+    let store = Store.create ~n () in
     List.iter (fun name -> ignore (Store.find_or_create store name)) universe;
     { store; pending_notifications = []; alive = true }
   in

@@ -67,8 +67,11 @@ let declare_conflict t ~item ~local_vv ~remote_vv ~origin =
   Log.info (fun m -> m "%a" Conflict.pp conflict);
   t.conflict_handler conflict
 
-let create ?(policy = Report_only) ?(conflict_handler = fun _ -> ())
-    ?(mode = Whole_item) ?(shards = 1) ~id ~n () =
+(* [replica s] builds shard [s]'s empty replica once the arguments are
+   validated: {!create} makes default-sized ones, {!import_state}
+   presized ones. *)
+let make ?(policy = Report_only) ?(conflict_handler = fun _ -> ()) ?(mode = Whole_item)
+    ~shards ~replica ~id ~n () =
   if n <= 0 then invalid_arg "Node.create: n must be positive";
   if id < 0 || id >= n then invalid_arg "Node.create: id out of range";
   if shards < 1 then invalid_arg "Node.create: shards must be >= 1";
@@ -76,7 +79,7 @@ let create ?(policy = Report_only) ?(conflict_handler = fun _ -> ())
   | Whole_item -> ()
   | Op_log { depth } ->
     if depth < 1 then invalid_arg "Node.create: op-log depth must be >= 1");
-  let replicas = Array.init shards (fun _ -> Replica.create ~n) in
+  let replicas = Array.init shards replica in
   let summary =
     if shards = 1 then replicas.(0).Replica.dbvv else Vv.create ~n
   in
@@ -113,6 +116,11 @@ let create ?(policy = Report_only) ?(conflict_handler = fun _ -> ())
     }
   in
   t
+
+let create ?policy ?conflict_handler ?mode ?(shards = 1) ~id ~n () =
+  make ?policy ?conflict_handler ?mode ~shards
+    ~replica:(fun _ -> Replica.create ~n ())
+    ~id ~n ()
 
 let revision t = t.revision
 
@@ -595,8 +603,20 @@ let export_state t =
 let import_state ?policy ?conflict_handler ?mode (state : State.t) =
   let shards = Array.length state.shards in
   if shards = 0 then invalid_arg "Node.import_state: no shards";
+  (* Size every table for the counts the state already carries, so the
+     import never rehashes. A log vector of the wrong dimension is left
+     default-sized here and rejected below. *)
+  let replica s =
+    let shard = state.shards.(s) in
+    let log_records =
+      if Array.length shard.State.logs = state.n then
+        Some (Array.map List.length shard.logs)
+      else None
+    in
+    Replica.create ~items:(List.length shard.items) ?log_records ~n:state.n ()
+  in
   let t =
-    create ?policy ?conflict_handler ?mode ~shards ~id:state.id ~n:state.n ()
+    make ?policy ?conflict_handler ?mode ~shards ~replica ~id:state.id ~n:state.n ()
   in
   let import_shard s (shard : State.shard) =
     let rep = t.replicas.(s) in

@@ -265,7 +265,9 @@ let intra_node_propagation ctx (rep : Replica.t) copied_items =
       in
       drain ()
   in
-  List.iter catch_up copied_items
+  (* Only a replica holding auxiliary copies has anything to catch up:
+     every other one returns without looking at a copied item. *)
+  if Hashtbl.length rep.aux_items > 0 then List.iter catch_up copied_items
 
 (* ------------------------------------------------------------------ *)
 (* AcceptPropagation (paper Figure 3)                                  *)
@@ -296,7 +298,18 @@ let resolve_propagation_conflict ctx (rep : Replica.t) (local : Item.t)
    "accept.begin" failpoint once per session before the first shard. *)
 let accept_delta ctx (rep : Replica.t) ~source ~tails ~items =
   let c = ctx.counters in
-  let skip_records = Hashtbl.create 4 in
+  (* Items whose tail records must not be appended. Only a conflict or
+     a rejected delta creates the table; a clean accept never hashes
+     into it. *)
+  let skip_records = ref None in
+  let skip name =
+    match !skip_records with
+    | Some skip -> Hashtbl.replace skip name ()
+    | None ->
+      let skip = Hashtbl.create 4 in
+      Hashtbl.replace skip name ();
+      skip_records := Some skip
+  in
   let copied = ref [] in
   let conflict_count = ref 0 in
   let resolved_count = ref 0 in
@@ -337,7 +350,7 @@ let accept_delta ctx (rep : Replica.t) ~source ~tails ~items =
           Log.err (fun m ->
               m "node %d: delta for %S has %d ops, expected %d; skipping" ctx.node_id
                 sx.name n_ops !expected);
-          Hashtbl.replace skip_records sx.name ()
+          skip sx.name
         end
         else begin
           ctx.touch ();
@@ -369,7 +382,7 @@ let accept_delta ctx (rep : Replica.t) ~source ~tails ~items =
         ctx.declare_conflict ~item:sx.name ~local_vv:local.ivv ~remote_vv:sx.ivv
           ~origin:(Conflict.Propagation { source });
         incr conflict_count;
-        Hashtbl.replace skip_records sx.name ())
+        skip sx.name)
     | Equal ->
       (* Identical copies; no tail record can reference this item in
          conflict-free operation, and stale re-sent records are
@@ -382,7 +395,7 @@ let accept_delta ctx (rep : Replica.t) ~source ~tails ~items =
       Log.warn (fun m ->
           m "node %d: local copy of %S is newer than the shipped one" ctx.node_id
             sx.name);
-      Hashtbl.replace skip_records sx.name ()
+      skip sx.name
   in
   List.iter consider items;
   (* ...and a crash here has every item applied but no tail records,
@@ -391,10 +404,15 @@ let accept_delta ctx (rep : Replica.t) ~source ~tails ~items =
   (* Append the tails to the local logs (Fig. 3, second loop), skipping
      records of conflicting items and records the local log already
      subsumes (possible only in post-conflict states). *)
+  let kept =
+    match !skip_records with
+    | None -> fun _ -> true
+    | Some skip -> fun (r : Log_record.t) -> not (Hashtbl.mem skip r.item)
+  in
   let append_tail k records =
     let component = Log_vector.component rep.logs k in
     let append (r : Log_record.t) =
-      if not (Hashtbl.mem skip_records r.item) then begin
+      if kept r then begin
         c.log_records_examined <- c.log_records_examined + 1;
         if r.seq > Log_component.latest_seq component then
           Log_component.add component ~item:r.item ~seq:r.seq

@@ -13,11 +13,11 @@ type t = {
   histories : (string, Edb_store.Item_history.t) Hashtbl.t;
 }
 
-let create ~n =
+let create ?items ?log_records ~n () =
   {
-    store = Store.create ~n;
+    store = Store.create ?capacity:items ~n ();
     dbvv = Vv.create ~n;
-    logs = Log_vector.create ~n;
+    logs = Log_vector.create ?capacities:log_records ~n ();
     aux_items = Hashtbl.create 8;
     aux_log = Aux_log.create ();
     histories = Hashtbl.create 8;

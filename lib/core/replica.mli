@@ -21,8 +21,11 @@ type t = {
       (** Per-item bounded op history; populated only in op-log mode. *)
 }
 
-val create : n:int -> t
-(** [create ~n] is an empty shard replica of dimension [n]. *)
+val create : ?items:int -> ?log_records:int array -> n:int -> unit -> t
+(** [create ~n ()] is an empty shard replica of dimension [n]. [items]
+    and [log_records] (per origin) presize the store and the log
+    components' pointer maps for a load of known size, such as a
+    snapshot import. *)
 
 val aux_count : t -> int
 (** Number of live auxiliary copies in this shard. *)

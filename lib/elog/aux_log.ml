@@ -10,7 +10,10 @@ type t = {
   per_item : (string, record Dll.node Queue.t) Hashtbl.t;
 }
 
-let create () = { records = Dll.create (); per_item = Hashtbl.create 8 }
+(* The list sentinel's record; never returned. *)
+let no_record = { item = ""; ivv = Vv.create ~n:1; op = Edb_store.Operation.Set "" }
+
+let create () = { records = Dll.create no_record; per_item = Hashtbl.create 8 }
 
 let append t r =
   let node = Dll.append t.records r in

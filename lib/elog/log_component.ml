@@ -1,33 +1,74 @@
 module Dll = Edb_util.Dll
 
+(* The sentinel's record: [latest_seq] of an empty component reads its
+   0 without a branch. *)
+let no_record = { Log_record.item = ""; seq = 0 }
+
+(* The mark of an empty pointer slot, compared physically. *)
+let free = Dll.append (Dll.create no_record) no_record
+
 type t = {
   records : Log_record.t Dll.t;
-  (* The paper's P(x) pointers: item name -> the list node holding the
-     unique retained record for that item. *)
-  pointer : (string, Log_record.t Dll.node) Hashtbl.t;
+  (* The paper's P(x) pointers: an open-addressing table of the list
+     nodes themselves, keyed by the item of the record each node
+     carries, so a pointer costs one array slot instead of a 4-word
+     hash-table binding. Items never leave a component (a re-added
+     item's node only moves), so linear probing needs no tombstones.
+     The length is a power of two and at least twice the record
+     count. *)
+  mutable slots : Log_record.t Dll.node array;
 }
 
-let create () = { records = Dll.create (); pointer = Hashtbl.create 16 }
+let table_size capacity =
+  let rec grow size = if size >= 2 * capacity then size else grow (2 * size) in
+  grow 16
 
-let latest_seq t =
-  match Dll.last t.records with None -> 0 | Some node -> (Dll.value node).seq
+let create ?(capacity = 0) () =
+  { records = Dll.create no_record; slots = Array.make (table_size capacity) free }
+
+(* The slot holding [item]'s node, or the free slot where it belongs. *)
+let slot slots item =
+  let mask = Array.length slots - 1 in
+  let rec probe i =
+    let node = Array.unsafe_get slots i in
+    if node == free || String.equal (Dll.value node).Log_record.item item then i
+    else probe ((i + 1) land mask)
+  in
+  probe (String.hash item land mask)
+
+let grow t =
+  let slots = Array.make (2 * Array.length t.slots) free in
+  Array.iter
+    (fun node ->
+      if node != free then slots.(slot slots (Dll.value node).Log_record.item) <- node)
+    t.slots;
+  t.slots <- slots
+
+let latest_seq t = (Dll.last_value t.records).seq
 
 let add t ~item ~seq =
   if seq <= latest_seq t then
     invalid_arg "Log_component.add: sequence numbers must increase";
-  (match Hashtbl.find_opt t.pointer item with
-  | None -> ()
-  | Some stale ->
-    Dll.remove t.records stale;
-    Hashtbl.remove t.pointer item);
-  let node = Dll.append t.records { Log_record.item; seq } in
-  Hashtbl.replace t.pointer item node
+  let record = { Log_record.item; seq } in
+  let i = slot t.slots item in
+  let node = Array.unsafe_get t.slots i in
+  if node == free then begin
+    t.slots.(i) <- Dll.append t.records record;
+    if 2 * Dll.length t.records > Array.length t.slots then grow t
+  end
+  else begin
+    (* The item's node carries the new record to the tail: the stale
+       record is dropped and the pointer stays valid. *)
+    Dll.set_value node record;
+    Dll.move_to_back t.records node
+  end
 
 let tail_after t ~seq =
   Dll.take_while_rev (fun (r : Log_record.t) -> r.seq > seq) t.records
 
 let find_record t item =
-  Option.map Dll.value (Hashtbl.find_opt t.pointer item)
+  let node = t.slots.(slot t.slots item) in
+  if node == free then None else Some (Dll.value node)
 
 let length t = Dll.length t.records
 
@@ -44,7 +85,9 @@ let check_invariants t =
   if not (ordered records) then Error "log records out of sequence order"
   else if List.length distinct <> List.length items then
     Error "duplicate item record in log component"
-  else if Hashtbl.length t.pointer <> List.length records then
+  else if Array.fold_left (fun n node -> if node == free then n else n + 1) 0 t.slots
+          <> List.length records
+  then
     Error "pointer map size differs from record count"
   else
     let bad_pointer =

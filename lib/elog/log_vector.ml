@@ -1,8 +1,12 @@
 type t = Log_component.t array
 
-let create ~n =
+let create ?capacities ~n () =
   if n <= 0 then invalid_arg "Log_vector.create: dimension must be positive";
-  Array.init n (fun _ -> Log_component.create ())
+  match capacities with
+  | None -> Array.init n (fun _ -> Log_component.create ())
+  | Some caps ->
+    if Array.length caps <> n then invalid_arg "Log_vector.create: capacities dimension";
+    Array.map (fun capacity -> Log_component.create ~capacity ()) caps
 
 let dimension t = Array.length t
 

@@ -7,8 +7,10 @@
 
 type t
 
-val create : n:int -> t
-(** [create ~n] is a log vector with [n] empty components. *)
+val create : ?capacities:int array -> n:int -> unit -> t
+(** [create ~n ()] is a log vector with [n] empty components; component
+    [j]'s pointer map is sized for [capacities.(j)] records when given
+    (an array of length [n]). *)
 
 val dimension : t -> int
 

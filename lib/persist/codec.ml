@@ -125,17 +125,18 @@ module Reader = struct
 
   let corrupt fmt = Printf.ksprintf (fun msg -> raise (Corrupt msg)) fmt
 
-  let create data =
-    let len = String.length data in
+  let create ?(off = 0) ?len data =
+    let len = match len with Some l -> l | None -> String.length data - off in
+    if off < 0 || len < 0 || off > String.length data - len then
+      invalid_arg "Codec.Reader.create: range outside the string";
     if len < 4 then corrupt "snapshot shorter than its checksum trailer";
     let payload_len = len - 4 in
-    let stored =
-      Int32.to_int (String.get_int32_le data payload_len) land 0xFFFFFFFF
-    in
-    let actual = adler32 ~len:payload_len data in
+    let limit = off + payload_len in
+    let stored = Int32.to_int (String.get_int32_le data limit) land 0xFFFFFFFF in
+    let actual = adler32 ~off ~len:payload_len data in
     if stored <> actual then
       corrupt "checksum mismatch: stored %08x, computed %08x" stored actual;
-    { data; limit = payload_len; pos = 0 }
+    { data; limit; pos = off }
 
   (* [t.limit - t.pos] cannot overflow, so comparing against it (rather
      than computing [t.pos + n], which can wrap for a hostile length)

@@ -72,9 +72,13 @@ module Reader : sig
   exception Corrupt of string
   (** Raised on truncation, trailing garbage, or checksum mismatch. *)
 
-  val create : string -> t
+  val create : ?off:int -> ?len:int -> string -> t
   (** [create data] validates the checksum trailer immediately (over
-      [data] in place) and raises {!Corrupt} if it does not match. *)
+      [data] in place) and raises {!Corrupt} if it does not match.
+      [~off] and [~len] (defaults: the whole string) read the blob
+      where it lies inside a larger buffer, such as a journal record
+      inside the file image, without copying it out;
+      [Invalid_argument] if the range is outside [data]. *)
 
   val int : t -> int
 

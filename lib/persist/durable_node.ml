@@ -78,9 +78,9 @@ let encode_membership op =
         Codec.Writer.int w name);
       Codec.Writer.contents w)
 
-let apply_journal_record node_ref membership record =
+let apply_journal_record node_ref membership data ~off ~len =
   let node = !node_ref in
-  let r = Codec.Reader.create record in
+  let r = Codec.Reader.create ~off ~len data in
   (match Codec.Reader.int r with
   | 0 ->
     let item = Codec.Reader.string r in

@@ -57,6 +57,11 @@ val encode_reply :
 
 val encode_nak : Edb_core.Node.t -> dst:int -> req_id:int -> string
 
+val request_id_of_frame : string -> int
+(** The request id a request frame carries, read from its header alone
+    (0 for v1 frames and for frames too damaged to tell) — what a nak
+    for a request that cannot be answered echoes. *)
+
 val decode_reply : Edb_core.Node.t -> src:int -> string -> decoded_reply
 (** Decode a reply or nak frame from [src]. Records [src]'s advertised
     version; a reply echoing the newest outstanding request id promotes

@@ -81,7 +81,7 @@ let replay ~path ~f =
                    "WAL damaged: checksum mismatch in record %d at offset %d" count
                    pos)
             else begin
-              f (String.sub data (pos + 8) len);
+              f data ~off:(pos + 8) ~len;
               loop (pos + 8 + len + 4) (count + 1)
             end
       in

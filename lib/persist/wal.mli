@@ -50,9 +50,14 @@ type replay_result = {
           discarded. *)
 }
 
-val replay : path:string -> f:(string -> unit) -> (replay_result, string) result
-(** [replay ~path ~f] applies [f] to every intact record in order. A
-    missing file is an empty log ([Ok {records = 0; _}]); a torn tail is
+val replay :
+  path:string -> f:(string -> off:int -> len:int -> unit) -> (replay_result, string) result
+(** [replay ~path ~f] applies [f] to every intact record in order. [f
+    data ~off ~len] gets the record where it lies: the [len] bytes at
+    [off] of the journal's file image [data], the same string for every
+    record, so nothing is copied per record (decode with
+    [Codec.Reader.create ~off ~len data]). A missing file is an empty
+    log ([Ok {records = 0; _}]); a torn tail is
     [Ok {torn_tail = true; _}]; a damaged complete frame anywhere is
     [Error] (and [f] has already been applied to the records before
     it). *)

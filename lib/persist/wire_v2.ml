@@ -93,9 +93,9 @@ let decode_sparse_pairs r ~n ~what fill =
 
 let decode_vv r ~n =
   if n < 1 then invalid_arg "Wire_v2.decode_vv: dimension below 1";
-  let a = Array.make n 0 in
-  decode_sparse_pairs r ~n ~what:"sparse version vector" (fun j v -> a.(j) <- v);
-  Vv.of_array a
+  let vv = Vv.create ~n in
+  decode_sparse_pairs r ~n ~what:"sparse version vector" (Vv.set vv);
+  vv
 
 (* Delta form: the sparse encoding of [vv - baseline]. Only valid when
    [vv] dominates or equals [baseline] — DBVVs are monotone, so a
@@ -123,12 +123,12 @@ let encode_vv_delta w ~baseline vv =
 
 let decode_vv_delta r ~baseline =
   let n = Vv.dimension baseline in
-  let a = Vv.to_array baseline in
+  let vv = Vv.copy baseline in
   decode_sparse_pairs r ~n ~what:"delta version vector" (fun j d ->
-      if a.(j) > max_int - d then
-        corrupt "delta version vector overflows at origin %d" j;
-      a.(j) <- a.(j) + d);
-  Vv.of_array a
+      let v = Vv.get vv j in
+      if v > max_int - d then corrupt "delta version vector overflows at origin %d" j;
+      Vv.set vv j (v + d));
+  vv
 
 (* A cheap commitment to the baseline's contents, carried next to the
    baseline id in delta requests. The id alone already pins the vector;

@@ -1,5 +1,10 @@
+(* Keyed with [String.equal] and [String.hash] rather than the
+   polymorphic compare and hash; [String.hash] is [Hashtbl.hash], so
+   the buckets are the same. *)
+module Names = Hashtbl.Make (String)
+
 type t = {
-  items : (string, Item.t) Hashtbl.t;
+  items : Item.t Names.t;
   n : int;
   mutable sorted : Item.t array;
       (* Items in ascending name order, rebuilt lazily. Items are
@@ -8,31 +13,31 @@ type t = {
   mutable dirty : bool;
 }
 
-let create ~n =
+let create ?(capacity = 64) ~n () =
   if n <= 0 then invalid_arg "Store.create: dimension must be positive";
-  { items = Hashtbl.create 64; n; sorted = [||]; dirty = false }
+  { items = Names.create capacity; n; sorted = [||]; dirty = false }
 
 let dimension t = t.n
 
-let find_opt t name = Hashtbl.find_opt t.items name
+let find_opt t name = Names.find_opt t.items name
 
 let find_or_create t name =
-  match Hashtbl.find_opt t.items name with
+  match Names.find_opt t.items name with
   | Some item -> item
   | None ->
     let item = Item.create ~name ~n:t.n in
-    Hashtbl.add t.items name item;
+    Names.add t.items name item;
     t.dirty <- true;
     item
 
-let mem t name = Hashtbl.mem t.items name
+let mem t name = Names.mem t.items name
 
-let size t = Hashtbl.length t.items
+let size t = Names.length t.items
 
 let sorted_items t =
   if t.dirty then begin
     let acc = ref [] in
-    Hashtbl.iter (fun _ item -> acc := item :: !acc) t.items;
+    Names.iter (fun _ item -> acc := item :: !acc) t.items;
     let arr = Array.of_list !acc in
     Array.sort (fun a b -> String.compare a.Item.name b.Item.name) arr;
     t.sorted <- arr;

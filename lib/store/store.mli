@@ -8,9 +8,10 @@
 
 type t
 
-val create : n:int -> t
-(** [create ~n] is an empty store whose items carry IVVs of dimension
-    [n] (the replication factor). *)
+val create : ?capacity:int -> n:int -> unit -> t
+(** [create ~n ()] is an empty store whose items carry IVVs of dimension
+    [n] (the replication factor), sized for [capacity] items (default
+    64) so that a load of known size never rehashes. *)
 
 val dimension : t -> int
 (** [dimension t] is the IVV dimension [n] passed at creation. *)

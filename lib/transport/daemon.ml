@@ -12,6 +12,7 @@ module Durable_node = Edb_persist.Durable_node
 module Channel = Edb_push.Channel
 module T = Socket_transport
 module Initiator = Transport.Initiator
+module Fault = Edb_fault.Fault
 
 (* One protocol node as a process: a {!Durable_node} (WAL + checkpoint)
    served over a {!Socket_transport} select loop. The daemon is both
@@ -208,6 +209,9 @@ type t = {
   mutable next_ae : float;
   mutable next_push : float;
   mutable quit : bool;
+  (* Requests answered with a nak because their reply could not be
+     sent. Daemon-local: not a {!Counters} field. *)
+  mutable refused_replies : int;
 }
 
 let node t = Durable_node.node t.durable
@@ -408,6 +412,29 @@ let handle_control t conn payload =
   in
   ()
 
+(* Only requests get a reply. One that cannot be sent — over
+   [Frame.max_stream_record], or past the connection's output cap — must
+   not take the daemon down: the request gets a nak instead, which ends
+   the requester's session at once rather than at its reply deadline,
+   and is counted. The ["daemon.reply.refused"] failpoint forces this
+   branch without building a 64 MiB reply. *)
+let send_reply t conn ~peer ~request reply =
+  let sent =
+    if Fault.active "daemon.reply.refused" then Error "refused by failpoint"
+    else T.send conn (Transport.Record.frame reply)
+  in
+  match sent with
+  | Ok () -> ()
+  | Error _ ->
+    t.refused_replies <- t.refused_replies + 1;
+    let nak =
+      Frame.encode_nak (node t) ~dst:peer ~req_id:(Frame.request_id_of_frame request)
+    in
+    let (_ : (unit, string) result) = T.send conn (Transport.Record.frame nak) in
+    ()
+
+let refused_replies t = t.refused_replies
+
 let handle_server_record t conn record =
   match Transport.Record.classify record with
   | Error _ -> ()
@@ -425,11 +452,7 @@ let handle_server_record t conn record =
           (node t) ~src:peer frame
       with
       | None -> ()
-      | Some reply ->
-        let (_ : (unit, string) result) =
-          T.send conn (Transport.Record.frame reply)
-        in
-        ())
+      | Some reply -> send_reply t conn ~peer ~request:frame reply)
 
 (* Drain every complete record buffered on [conn]; [`Closed] when the
    connection should be dropped. *)
@@ -498,6 +521,7 @@ let create config =
           next_push =
             (match push with Some c -> now +. c.Channel.flush_period | None -> infinity);
           quit = false;
+          refused_replies = 0;
         }
       in
       if reopened then top_up_sessions t;

@@ -123,6 +123,11 @@ val node : t -> Edb_core.Node.t
 
 val listen_addr : t -> Socket_transport.addr option
 
+val refused_replies : t -> int
+(** Requests this daemon answered with a nak because their reply could
+    not be sent (larger than {!Edb_persist.Frame.max_stream_record}, or
+    the connection's output buffer full). *)
+
 val step : t -> unit
 (** One select-loop iteration: fire due timers (anti-entropy session,
     session deadline or backoff, push flush, auto-checkpoint), then

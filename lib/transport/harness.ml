@@ -108,14 +108,36 @@ let start ~exe ?(kind = `Unix) ?(ae_period = 0.03) ?(seed = 1) ?(max_runtime = 1
     done;
     t
 
-let running t ~node = t.procs.(node).pid <> None
-
 let drop_control t ~node =
   match Hashtbl.find_opt t.controls node with
   | Some conn ->
     T.close_conn conn;
     Hashtbl.remove t.controls node
   | None -> ()
+
+(* A daemon that died on its own (a crash, or a kill from outside the
+   harness) is reaped here, so it reads as stopped and {!restart} can
+   start it again. *)
+let running t ~node =
+  let proc = t.procs.(node) in
+  match proc.pid with
+  | None -> false
+  | Some pid ->
+    let rec exited () =
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ -> false
+      | _, _ -> true
+      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> exited ()
+    in
+    if exited () then begin
+      proc.pid <- None;
+      drop_control t ~node;
+      false
+    end
+    else true
+
+let pid t ~node = t.procs.(node).pid
 
 (* Dial the node's control connection, retrying while its daemon is
    still binding the listening socket. *)
@@ -200,7 +222,7 @@ let counters_of t ~node =
 
 let journal t ~node =
   let path = Edb_persist.Durable_node.journal_path ~dir:t.procs.(node).p_dir in
-  match Edb_persist.Wal.replay ~path ~f:ignore with
+  match Edb_persist.Wal.replay ~path ~f:(fun _ ~off:_ ~len:_ -> ()) with
   | Error _ as e -> e
   | Ok replay ->
     Ok (replay.records, if Sys.file_exists path then (Unix.stat path).Unix.st_size else 0)
@@ -249,7 +271,7 @@ let stop t ~node =
     t.procs.(node).pid <- None
 
 let restart t ~node =
-  if t.procs.(node).pid = None then begin
+  if not (running t ~node) then begin
     drop_control t ~node;
     spawn t node
   end

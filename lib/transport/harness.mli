@@ -38,6 +38,13 @@ val start :
     anti-entropy fan-out; the daemon's default is 4). *)
 
 val running : t -> node:int -> bool
+(** Whether node [node]'s daemon is alive. A daemon that exited or was
+    killed behind the harness's back is reaped and reported [false]
+    (and {!restart} will start it again). *)
+
+val pid : t -> node:int -> int option
+(** The process id of node [node]'s daemon, while the harness has one
+    started. *)
 
 val update :
   t -> node:int -> item:string -> Edb_store.Operation.t -> (unit, string) result

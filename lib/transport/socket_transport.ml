@@ -340,7 +340,11 @@ let flush_output conn =
    afterwards via [flush_output], coalesced into one write. Blocking
    connections keep the write-it-now semantics. *)
 let send conn record =
-  if conn.nonblocking then begin
+  if String.length record > Frame.max_stream_record then
+    Error
+      (Printf.sprintf "record of %d bytes exceeds the %d-byte stream limit"
+         (String.length record) Frame.max_stream_record)
+  else if conn.nonblocking then begin
     if pending_output conn > max_pending_output then
       Error "output buffer overflow (slow peer)"
     else begin

@@ -50,7 +50,9 @@ val connect : t -> peer:int -> (conn, string) result
 
 val send : conn -> string -> (unit, string) result
 (** Send one record: written at once on a {!connect}ed connection,
-    buffered for {!flush_output} on a non-blocking one. *)
+    buffered for {!flush_output} on a non-blocking one. [Error], with
+    nothing sent, for a record longer than
+    {!Edb_persist.Frame.max_stream_record}. *)
 
 val recv : ?timeout:float -> conn -> (string, string) result
 (** The next whole record; [Error] on timeout, peer close, or a

@@ -1,104 +1,63 @@
-type 'a node = {
-  mutable value : 'a;
-  mutable prev : 'a node option;
-  mutable next : 'a node option;
-  mutable attached : bool;
-}
+(* A ring through a sentinel: [root.next] is the head, [root.prev] the
+   tail, and an empty list is [root] linked to itself. Every link is a
+   plain pointer, so no operation allocates an option box. A detached
+   node is linked to itself too, which is how [remove] recognises a
+   node that is already out. *)
+type 'a node = { mutable value : 'a; mutable prev : 'a node; mutable next : 'a node }
 
-type 'a t = {
-  mutable head : 'a node option;
-  mutable tail : 'a node option;
-  mutable length : int;
-}
+type 'a t = { root : 'a node; mutable length : int }
 
-let create () = { head = None; tail = None; length = 0 }
+let create placeholder =
+  let rec root = { value = placeholder; prev = root; next = root } in
+  { root; length = 0 }
 
 let length t = t.length
 
-let is_empty t = t.length = 0
+let link_before anchor n =
+  let p = anchor.prev in
+  n.prev <- p;
+  n.next <- anchor;
+  p.next <- n;
+  anchor.prev <- n
+
+let unlink n =
+  n.prev.next <- n.next;
+  n.next.prev <- n.prev
 
 let append t v =
-  let n = { value = v; prev = t.tail; next = None; attached = true } in
-  (match t.tail with
-  | None -> t.head <- Some n
-  | Some old_tail -> old_tail.next <- Some n);
-  t.tail <- Some n;
-  t.length <- t.length + 1;
-  n
-
-let prepend t v =
-  let n = { value = v; prev = None; next = t.head; attached = true } in
-  (match t.head with
-  | None -> t.tail <- Some n
-  | Some old_head -> old_head.prev <- Some n);
-  t.head <- Some n;
+  let rec n = { value = v; prev = n; next = n } in
+  link_before t.root n;
   t.length <- t.length + 1;
   n
 
 let remove t n =
-  if n.attached then begin
-    (match n.prev with
-    | None -> t.head <- n.next
-    | Some p -> p.next <- n.next);
-    (match n.next with
-    | None -> t.tail <- n.prev
-    | Some s -> s.prev <- n.prev);
-    n.prev <- None;
-    n.next <- None;
-    n.attached <- false;
+  if n.next != n then begin
+    unlink n;
+    n.prev <- n;
+    n.next <- n;
     t.length <- t.length - 1
+  end
+
+let move_to_back t n =
+  if t.root.prev != n then begin
+    unlink n;
+    link_before t.root n
   end
 
 let value n = n.value
 
 let set_value n v = n.value <- v
 
-let attached n = n.attached
-
-let first t = t.head
-
-let last t = t.tail
-
-let next n = n.next
-
-let prev n = n.prev
-
-let iter_nodes f t =
-  let rec loop = function
-    | None -> ()
-    | Some n ->
-      (* Capture the successor first so [f] may remove [n]. *)
-      let succ = n.next in
-      f n;
-      loop succ
-  in
-  loop t.head
-
-let iter f t = iter_nodes (fun n -> f n.value) t
-
-let rev_iter f t =
-  let rec loop = function
-    | None -> ()
-    | Some n ->
-      let pred = n.prev in
-      f n.value;
-      loop pred
-  in
-  loop t.tail
+let last_value t = t.root.prev.value
 
 let fold_left f init t =
-  let acc = ref init in
-  iter (fun v -> acc := f !acc v) t;
-  !acc
+  let rec loop acc n = if n == t.root then acc else loop (f acc n.value) n.next in
+  loop init t.root.next
 
-let to_list t = List.rev (fold_left (fun acc v -> v :: acc) [] t)
+(* Closed over nothing, so a call allocates only its cons cells. *)
+let rec take_from p root acc n =
+  if n != root && p n.value then take_from p root (n.value :: acc) n.prev else acc
 
-let take_while_rev p t =
-  let rec loop acc = function
-    | None -> acc
-    | Some n -> if p n.value then loop (n.value :: acc) n.prev else acc
-  in
-  loop [] t.tail
+let take_while_rev p t = take_from p t.root [] t.root.prev
 
-let clear t =
-  iter_nodes (fun n -> remove t n) t
+let to_list t = take_while_rev (fun _ -> true) t

@@ -1,14 +1,16 @@
-(** Intrusive doubly-linked lists with O(1) append and O(1) unlink.
+(** Intrusive doubly-linked lists with O(1) append, unlink and
+    move-to-back.
 
     This is the substrate for the paper's Figure 1: log components keep
     their records in a doubly-linked list so that, when a fresher record
-    for the same data item arrives, the stale record can be unlinked in
-    constant time through the per-item pointer array [P(x)].
+    for the same data item arrives, the stale record's node moves to the
+    tail in constant time through the per-item pointer array [P(x)].
 
-    Nodes are first-class: callers keep the ['a node] returned by
-    {!append} and may later {!remove} it directly, without any search.
-    A node knows whether it is still attached, so removing twice is
-    harmless and [O(1)]. *)
+    The list is a ring through a sentinel node, so a node is three
+    pointer fields plus its header (four words) and no operation
+    allocates an option box. Nodes are first-class: callers keep the
+    ['a node] returned by {!append} and may later {!remove} or
+    {!move_to_back} it directly, without any search. *)
 
 type 'a node
 (** A cell of a list, carrying one value. *)
@@ -16,21 +18,15 @@ type 'a node
 type 'a t
 (** A mutable doubly-linked list. *)
 
-val create : unit -> 'a t
-(** [create ()] is a fresh empty list. *)
+val create : 'a -> 'a t
+(** [create placeholder] is a fresh empty list. The sentinel carries
+    [placeholder], which only {!last_value} of an empty list returns. *)
 
 val length : 'a t -> int
 (** [length t] is the number of attached nodes, maintained in O(1). *)
 
-val is_empty : 'a t -> bool
-(** [is_empty t] is [length t = 0]. *)
-
 val append : 'a t -> 'a -> 'a node
 (** [append t v] links a new node carrying [v] at the tail of [t] and
-    returns it. O(1). *)
-
-val prepend : 'a t -> 'a -> 'a node
-(** [prepend t v] links a new node carrying [v] at the head of [t] and
     returns it. O(1). *)
 
 val remove : 'a t -> 'a node -> unit
@@ -38,36 +34,19 @@ val remove : 'a t -> 'a node -> unit
     no longer attached is a no-op. It is a programming error to remove
     a node from a list it never belonged to. *)
 
+val move_to_back : 'a t -> 'a node -> unit
+(** [move_to_back t n] relinks [n], which must be attached to [t], at
+    the tail of [t]. O(1); no allocation. *)
+
 val value : 'a node -> 'a
 (** [value n] is the payload of [n]. *)
 
 val set_value : 'a node -> 'a -> unit
 (** [set_value n v] replaces the payload of [n]. *)
 
-val attached : 'a node -> bool
-(** [attached n] is [true] while [n] is linked into its list. *)
-
-val first : 'a t -> 'a node option
-(** [first t] is the head node, if any. *)
-
-val last : 'a t -> 'a node option
-(** [last t] is the tail node, if any. *)
-
-val next : 'a node -> 'a node option
-(** [next n] is the successor of [n] in list order, if attached. *)
-
-val prev : 'a node -> 'a node option
-(** [prev n] is the predecessor of [n] in list order, if attached. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** [iter f t] applies [f] to every value, head to tail. *)
-
-val iter_nodes : ('a node -> unit) -> 'a t -> unit
-(** [iter_nodes f t] applies [f] to every node, head to tail. [f] may
-    remove the node it is given. *)
-
-val rev_iter : ('a -> unit) -> 'a t -> unit
-(** [rev_iter f t] applies [f] to every value, tail to head. *)
+val last_value : 'a t -> 'a
+(** [last_value t] is the tail's payload, or the placeholder given to
+    {!create} when [t] is empty. O(1). *)
 
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 (** [fold_left f init t] folds over values head to tail. *)
@@ -80,7 +59,5 @@ val take_while_rev : ('a -> bool) -> 'a t -> 'a list
     holds and returns the matching suffix of [t] {e in list order}
     (head-of-suffix first). Runs in time linear in the suffix length:
     this is how log tails are extracted in time proportional to the
-    number of records selected, not the log size. *)
-
-val clear : 'a t -> unit
-(** [clear t] detaches every node. O(length). *)
+    number of records selected, not the log size. The list shares the
+    values; it allocates one cons cell per value and nothing else. *)

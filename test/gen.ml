@@ -53,8 +53,11 @@ let actions ~nodes ~items =
 
 (* ---------- Log-structure scripts (test_log) ---------- *)
 
-(* Item ids to add to one log component with increasing seq. *)
-let item_script = QCheck2.Gen.(list_size (int_range 0 60) (int_bound 9))
+(* Steps against one log component, each with the next seq: [(kind,
+   k)] adds item [k] for kind 0 or 1 and re-adds the item of the head
+   (2), tail (3) or middle (4) record. *)
+let component_script =
+  QCheck2.Gen.(list_size (int_range 0 60) (pair (int_bound 4) (int_bound 9)))
 
 (* Append/remove-earliest interleavings over a small item universe, for
    the auxiliary-log FIFO model. *)

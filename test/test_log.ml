@@ -88,31 +88,59 @@ let test_find_record () =
   Alcotest.(check bool) "absent item" true (Log_component.find_record c "zz" = None)
 
 (* Property: after any sequence of adds with increasing seq, the
-   component holds the latest record per item, in seq order. *)
+   component holds the latest record per item, in seq order. Besides
+   adds of arbitrary items, the script re-adds the item of the current
+   head, tail or middle record (the only record, when there is one), so
+   every position a node can move to the tail from is exercised; every
+   step is followed by checks of [to_list], [tail_after], [find_record]
+   and [check_invariants] against the model. *)
 let prop_component_model =
   QCheck2.Test.make ~name:"log component matches latest-per-item model" ~count:300
-    Gen.item_script
-    (fun item_ids ->
+    Gen.component_script
+    (fun script ->
       let c = Log_component.create () in
-      let model = Hashtbl.create 8 in
-      List.iteri
-        (fun i id ->
-          let seq = i + 1 in
-          let item = Printf.sprintf "i%d" id in
-          Log_component.add c ~item ~seq;
-          Hashtbl.replace model item seq)
-        item_ids;
-      let expected =
-        Hashtbl.fold (fun item seq acc -> { Log_record.item; seq } :: acc) model []
-        |> List.sort (fun (a : Log_record.t) b -> compare a.seq b.seq)
+      (* The model: retained records, oldest first. *)
+      let model = ref [] in
+      let ok = ref true in
+      let check seq k =
+        let records = !model in
+        let threshold = k * seq / 9 in
+        let probe = Printf.sprintf "i%d" k in
+        ok :=
+          !ok
+          && Log_component.to_list c = records
+          && Log_component.length c = List.length records
+          && Log_component.latest_seq c
+             = List.fold_left (fun _ (r : Log_record.t) -> r.seq) 0 records
+          && Log_component.tail_after c ~seq:threshold
+             = List.filter (fun (r : Log_record.t) -> r.seq > threshold) records
+          && Log_component.find_record c probe
+             = List.find_opt (fun (r : Log_record.t) -> r.item = probe) records
+          && Log_component.check_invariants c = Ok ()
       in
-      Log_component.to_list c = expected
-      && Log_component.check_invariants c = Ok ())
+      List.iteri
+        (fun i (kind, k) ->
+          let seq = i + 1 in
+          let records = !model in
+          let item =
+            match (kind, records) with
+            | (0 | 1), _ | _, [] -> Printf.sprintf "i%d" k
+            | 2, head :: _ -> head.Log_record.item
+            | 3, _ -> (List.nth records (List.length records - 1)).item
+            | _, _ -> (List.nth records (List.length records / 2)).item
+          in
+          Log_component.add c ~item ~seq;
+          model :=
+            List.filter (fun (r : Log_record.t) -> r.item <> item) records
+            @ [ { Log_record.item; seq } ];
+          check seq k)
+        script;
+      !ok)
 
 (* ---------- Log vector ---------- *)
 
 let test_log_vector_dispatch () =
-  let lv = Log_vector.create ~n:3 in
+  let lv = Log_vector.create ~n:3 () in
   Log_vector.add lv ~origin:0 ~item:"x" ~seq:1;
   Log_vector.add lv ~origin:2 ~item:"x" ~seq:1;
   Log_vector.add lv ~origin:2 ~item:"y" ~seq:2;
@@ -125,7 +153,7 @@ let test_log_vector_dispatch () =
 let test_log_vector_bound () =
   (* The paper's bound: at most n * N records, whatever the update count. *)
   let n = 3 and items = 5 in
-  let lv = Log_vector.create ~n in
+  let lv = Log_vector.create ~n () in
   let seq = Array.make n 0 in
   for round = 1 to 200 do
     let origin = round mod n in

@@ -268,6 +268,26 @@ let test_create_validation () =
   Alcotest.check_raises "bad n" (Invalid_argument "Node.create: n must be positive")
     (fun () -> ignore (Node.create ~id:0 ~n:0 ()))
 
+(* Heap footprint per item: a 100k-item node at n = 3 with 100-byte
+   values and a single writer. Every item holds one value string, one
+   IVV, its store entry and one retained log record with its P(x)
+   pointer; everything beyond the 100-byte value is bookkeeping. The
+   bound is 5 words under the 47.3 words per item the boxed-node log
+   representation took. *)
+let test_words_per_item () =
+  let items = 100_000 in
+  let node = Node.create ~id:0 ~n:3 () in
+  for rank = 0 to items - 1 do
+    let item = Edb_workload.Workload.item_name rank in
+    Node.update node item (set (Edb_workload.Workload.payload ~item ~seq:1 ~size:100))
+  done;
+  let per_item = float_of_int (Obj.reachable_words (Obj.repr node)) /. float_of_int items in
+  Printf.printf "heap words per 100-byte item at n = 3: %.1f\n%!" per_item;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f heap words per item (want <= %.1f)" per_item (47.3 -. 5.0))
+    true
+    (per_item <= 47.3 -. 5.0)
+
 let suite =
   [
     Alcotest.test_case "update bookkeeping" `Quick test_update_bookkeeping;
@@ -292,4 +312,5 @@ let suite =
     Alcotest.test_case "sync_pair converges" `Quick test_sync_pair_converges;
     Alcotest.test_case "bytes charged" `Quick test_bytes_charged;
     Alcotest.test_case "create validation" `Quick test_create_validation;
+    Alcotest.test_case "heap words per item" `Quick test_words_per_item;
   ]

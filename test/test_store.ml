@@ -83,21 +83,21 @@ let test_item_snapshot_isolation () =
 (* ---------- Store ---------- *)
 
 let test_store_find_or_create () =
-  let store = Store.create ~n:3 in
+  let store = Store.create ~n:3 () in
   let a = Store.find_or_create store "x" in
   let b = Store.find_or_create store "x" in
   Alcotest.(check bool) "same item" true (a == b);
   Alcotest.(check int) "size" 1 (Store.size store)
 
 let test_store_find_opt () =
-  let store = Store.create ~n:2 in
+  let store = Store.create ~n:2 () in
   Alcotest.(check bool) "absent" true (Store.find_opt store "x" = None);
   ignore (Store.find_or_create store "x");
   Alcotest.(check bool) "present" true (Store.find_opt store "x" <> None);
   Alcotest.(check bool) "mem" true (Store.mem store "x")
 
 let test_store_iteration () =
-  let store = Store.create ~n:2 in
+  let store = Store.create ~n:2 () in
   (* Inserted out of order on purpose: [names]/[iter]/[fold] promise
      ascending name order, no caller-side sort needed. *)
   List.iter (fun name -> ignore (Store.find_or_create store name)) [ "b"; "c"; "a" ];
@@ -106,14 +106,14 @@ let test_store_iteration () =
   Alcotest.(check (list string)) "fold sorted" [ "c"; "b"; "a" ] folded
 
 let test_store_total_bytes () =
-  let store = Store.create ~n:2 in
+  let store = Store.create ~n:2 () in
   Item.apply (Store.find_or_create store "a") (Operation.Set "xx");
   Item.apply (Store.find_or_create store "b") (Operation.Set "yyy");
   Alcotest.(check int) "total bytes" 5 (Store.total_value_bytes store)
 
 let test_store_rejects_bad_dimension () =
   Alcotest.check_raises "n=0" (Invalid_argument "Store.create: dimension must be positive")
-    (fun () -> ignore (Store.create ~n:0))
+    (fun () -> ignore (Store.create ~n:0 ()))
 
 (* Property: splice result length is max of original length and
    offset + data length. *)

@@ -621,6 +621,33 @@ let test_socket_output_partial_writes () =
       Socket_transport.close_conn tx;
       Socket_transport.close_conn rx)
 
+(* A record over the stream limit is refused with [Error] on both
+   surfaces, and nothing of it is sent or buffered. *)
+let test_socket_send_oversized () =
+  let dir = cluster_dir "oversized" in
+  let listen = Socket_transport.Unix_path (Filename.concat dir "big.sock") in
+  let server = require (Socket_transport.create ~listen ~id:0 ~peers:[] ()) in
+  let client = require (Socket_transport.create ~id:1 ~peers:[ (0, listen) ] ()) in
+  Fun.protect
+    ~finally:(fun () ->
+      Socket_transport.close server;
+      Socket_transport.close client)
+    (fun () ->
+      let record = String.make (Frame.max_stream_record + 1) 'x' in
+      let buffered = require (Socket_transport.dial client ~peer:0) in
+      let before = Socket_transport.pending_output buffered in
+      (match Socket_transport.send buffered record with
+      | Ok () -> Alcotest.fail "a non-blocking send took an oversized record"
+      | Error _ -> ());
+      Alcotest.(check int) "nothing buffered" before
+        (Socket_transport.pending_output buffered);
+      let blocking = require (Socket_transport.connect client ~peer:0) in
+      (match Socket_transport.send blocking record with
+      | Ok () -> Alcotest.fail "a blocking send took an oversized record"
+      | Error _ -> ());
+      Socket_transport.close_conn buffered;
+      Socket_transport.close_conn blocking)
+
 (* ---------- the daemon's session connections, in one process ---------- *)
 
 let daemon_sock dir id =
@@ -825,6 +852,75 @@ let test_daemon_trickling_peer_completes () =
       Alcotest.(check int) "completed on the first attempt" 0 c.Counters.timeouts;
       Alcotest.(check int) "one dial" 1 c.Counters.connections_opened)
 
+(* A request whose reply cannot be sent (forced by the
+   "daemon.reply.refused" failpoint, which stands in for a reply over
+   the stream record limit) gets a nak and is counted; the daemon stays
+   up, answers Ping, and replies normally once the failpoint is gone. *)
+let test_daemon_refused_reply_naks () =
+  let dir = cluster_dir "refused" in
+  let d = create_daemon ~dir ~id:0 ~n:2 [ (1, daemon_sock dir 1) ] in
+  let client =
+    require (Socket_transport.create ~id:1 ~peers:[ (0, daemon_sock dir 0) ] ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.shutdown d;
+      Socket_transport.close client)
+    (fun () ->
+      let conn = require (Socket_transport.dial client ~peer:0) in
+      let exchange record =
+        require (Socket_transport.send conn record);
+        flush_all conn;
+        let stop = Unix.gettimeofday () +. 5.0 in
+        let rec loop () =
+          match Socket_transport.next_record conn with
+          | Some reply -> reply
+          | None ->
+            if Unix.gettimeofday () > stop then Alcotest.fail "no answer within 5 s";
+            Daemon.step d;
+            (match Unix.select [ Socket_transport.fd conn ] [] [] 0.0 with
+            | [], _, _ -> ()
+            | _ -> (
+              match Socket_transport.read_into conn with
+              | `Data -> ()
+              | `Eof -> Alcotest.fail "the daemon closed the connection"
+              | `Error e -> Alcotest.fail ("read: " ^ e)));
+            loop ()
+        in
+        loop ()
+      in
+      let control request =
+        match
+          Transport.Record.classify
+            (exchange (Transport.Record.control (Daemon.Control.encode_request request)))
+        with
+        | Ok (Transport.Record.Control payload) -> Daemon.Control.decode_reply payload
+        | _ -> Alcotest.fail "expected a control reply"
+      in
+      let requester = Node.create ~id:1 ~n:2 () in
+      let pull () =
+        match
+          Transport.Record.classify
+            (exchange (Transport.Record.frame (Frame.encode_request requester ~dst:0)))
+        with
+        | Ok (Transport.Record.Frame frame) -> Frame.decode_reply requester ~src:0 frame
+        | _ -> Alcotest.fail "expected a frame"
+      in
+      Alcotest.(check bool) "update acked" true
+        (control (Daemon.Control.Update { item = "x"; op = set "v" }) = Daemon.Control.Ack);
+      Edb_fault.Fault.with_point "daemon.reply.refused" (fun () ->
+          (match pull () with
+          | Frame.Nak _ -> ()
+          | Frame.Reply _ -> Alcotest.fail "a refused reply went out");
+          Alcotest.(check int) "counted" 1 (Daemon.refused_replies d);
+          Alcotest.(check bool) "still answers Ping" true
+            (control Daemon.Control.Ping = Daemon.Control.Ack));
+      (match pull () with
+      | Frame.Reply (Message.Propagate { items = [ item ]; _ }, _) ->
+        Alcotest.(check string) "the update ships" "x" item.Message.name
+      | _ -> Alcotest.fail "expected a reply shipping x");
+      Alcotest.(check int) "nothing more refused" 1 (Daemon.refused_replies d))
+
 (* ---------- multi-process daemons ---------- *)
 
 (* The daemons are `edb_cli serve` processes; dune builds edb_cli
@@ -890,6 +986,29 @@ let test_daemon_crash_recovery () =
         (require (Harness.read h ~node:1 ~item:"a.0") = Some "overwritten");
       Alcotest.(check bool) "survivor unscathed" true
         (require (Harness.read h ~node:0 ~item:"b.1") = Some "pre-kill one"))
+
+(* A daemon killed behind the harness's back reads as not running (the
+   harness reaps it), and restarts over its WAL. *)
+let test_harness_sees_outside_kill () =
+  let h = start_cluster ~seed:35 ~dir:(cluster_dir "outside") ~n:2 () in
+  Fun.protect
+    ~finally:(fun () -> Harness.shutdown h)
+    (fun () ->
+      require (Harness.update h ~node:1 ~item:"b.1" (set "before the kill"));
+      Alcotest.(check bool) "daemon 1 runs" true (Harness.running h ~node:1);
+      let pid = Option.get (Harness.pid h ~node:1) in
+      Unix.kill pid Sys.sigkill;
+      let stop = Unix.gettimeofday () +. 5.0 in
+      while Harness.running h ~node:1 do
+        if Unix.gettimeofday () > stop then
+          Alcotest.fail "a SIGKILLed daemon still reads as running after 5 s";
+        Unix.sleepf 0.005
+      done;
+      Alcotest.(check bool) "no pid once reaped" true (Harness.pid h ~node:1 = None);
+      Harness.restart h ~node:1;
+      Alcotest.(check bool) "running again" true (Harness.running h ~node:1);
+      Alcotest.(check bool) "the journaled write survived" true
+        (require (Harness.read h ~node:1 ~item:"b.1") = Some "before the kill"))
 
 (* kill -9 a peer while its session connection sits idle in the
    survivor's cache. The dead connection must be forgotten (it turns
@@ -979,7 +1098,7 @@ let test_daemon_catchup_journals_each_effect_once () =
           require
             (Wal.replay
                ~path:(Durable.journal_path ~dir:(Filename.concat dir "node2"))
-               ~f:(fun r -> records := r :: !records))
+               ~f:(fun data ~off ~len -> records := String.sub data off len :: !records))
         in
         Array.of_list (List.rev !records))
   in
@@ -1127,7 +1246,7 @@ let test_group_commit_sync_prefix () =
   let replay_count () =
     copy_wal ();
     match
-      Wal.replay ~path:(Filename.concat crash_dir "node.wal") ~f:(fun _ -> ())
+      Wal.replay ~path:(Filename.concat crash_dir "node.wal") ~f:(fun _ ~off:_ ~len:_ -> ())
     with
     | Ok r ->
       Alcotest.(check bool) "no torn tail in a group-commit batch" false
@@ -1268,6 +1387,10 @@ let suite =
       test_socket_unix_session;
     Alcotest.test_case "socket: partial writes reassemble byte-identical" `Quick
       test_socket_output_partial_writes;
+    Alcotest.test_case "socket: an oversized record is refused" `Quick
+      test_socket_send_oversized;
+    Alcotest.test_case "daemons: a reply that cannot be sent is naked" `Quick
+      test_daemon_refused_reply_naks;
     Alcotest.test_case "daemons: quiet pair reuses its session connections" `Quick
       test_daemon_quiet_pair_reuses_connections;
     Alcotest.test_case "daemons: quiet sessions allocate nothing major" `Quick
@@ -1280,6 +1403,8 @@ let suite =
       test_daemon_pair_converges;
     Alcotest.test_case "daemons: kill -9 recovery from the WAL" `Quick
       test_daemon_crash_recovery;
+    Alcotest.test_case "daemons: the harness sees a kill behind its back" `Quick
+      test_harness_sees_outside_kill;
     Alcotest.test_case "daemons: kill -9 of an idle cached peer" `Quick
       test_daemon_kill_idle_cached_peer;
     Alcotest.test_case "daemons: catch-up journals each session effect once" `Quick

@@ -12,6 +12,9 @@ let set v = Operation.Set v
 
 let ok = function Ok v -> v | Error msg -> Alcotest.fail msg
 
+(* [Wal.replay] with each record copied out, for checking contents. *)
+let replay ~path ~f = Wal.replay ~path ~f:(fun data ~off ~len -> f (String.sub data off len))
+
 let with_temp_dir f =
   let dir = Filename.temp_file "edb-wal" "" in
   Sys.remove dir;
@@ -38,14 +41,14 @@ let test_wal_roundtrip () =
       List.iter (Wal.append w) [ "one"; "two"; ""; "four" ];
       Wal.close_writer w;
       let seen = ref [] in
-      let result = ok (Wal.replay ~path ~f:(fun r -> seen := r :: !seen)) in
+      let result = ok (replay ~path ~f:(fun r -> seen := r :: !seen)) in
       Alcotest.(check int) "records" 4 result.Wal.records;
       Alcotest.(check bool) "no torn tail" false result.Wal.torn_tail;
       Alcotest.(check (list string)) "in order" [ "one"; "two"; ""; "four" ]
         (List.rev !seen))
 
 let test_wal_missing_file_is_empty () =
-  let result = ok (Wal.replay ~path:"/nonexistent/edb.wal" ~f:(fun _ -> ())) in
+  let result = ok (replay ~path:"/nonexistent/edb.wal" ~f:(fun _ -> ())) in
   Alcotest.(check int) "no records" 0 result.Wal.records
 
 let test_wal_append_survives_reopen () =
@@ -58,7 +61,7 @@ let test_wal_append_survives_reopen () =
       Wal.append w "second";
       Wal.close_writer w;
       let count = ref 0 in
-      let (_ : Wal.replay_result) = ok (Wal.replay ~path ~f:(fun _ -> incr count)) in
+      let (_ : Wal.replay_result) = ok (replay ~path ~f:(fun _ -> incr count)) in
       Alcotest.(check int) "both records" 2 !count)
 
 let test_wal_torn_tail_discarded () =
@@ -76,7 +79,7 @@ let test_wal_torn_tail_discarded () =
       output_string oc (String.sub data 0 (String.length data - 3));
       close_out oc;
       let seen = ref [] in
-      let result = ok (Wal.replay ~path ~f:(fun r -> seen := r :: !seen)) in
+      let result = ok (replay ~path ~f:(fun r -> seen := r :: !seen)) in
       Alcotest.(check int) "one intact record" 1 result.Wal.records;
       Alcotest.(check bool) "torn tail flagged" true result.Wal.torn_tail;
       Alcotest.(check (list string)) "prefix recovered" [ "complete" ] !seen)
@@ -104,7 +107,7 @@ let test_wal_corrupt_record_is_error () =
       output_bytes oc data;
       close_out oc;
       let seen = ref [] in
-      match Wal.replay ~path ~f:(fun r -> seen := r :: !seen) with
+      match replay ~path ~f:(fun r -> seen := r :: !seen) with
       | Ok _ -> Alcotest.fail "mid-log corruption not detected"
       | Error msg ->
         Alcotest.(check bool) "names the damage" true
@@ -129,7 +132,7 @@ let test_wal_corrupt_last_record_is_error () =
       let oc = open_out_bin path in
       output_bytes oc data;
       close_out oc;
-      match Wal.replay ~path ~f:(fun _ -> ()) with
+      match replay ~path ~f:(fun _ -> ()) with
       | Ok _ -> Alcotest.fail "complete-frame corruption not detected"
       | Error msg ->
         Alcotest.(check bool) "names the damage" true
@@ -142,7 +145,7 @@ let test_wal_reset () =
       Wal.append w "x";
       Wal.close_writer w;
       Wal.reset ~path;
-      let result = ok (Wal.replay ~path ~f:(fun _ -> ())) in
+      let result = ok (replay ~path ~f:(fun _ -> ())) in
       Alcotest.(check int) "empty after reset" 0 result.Wal.records)
 
 (* A header claiming a length near [max_int] used to overflow the
@@ -160,7 +163,7 @@ let test_wal_huge_length_is_torn_tail () =
       output_bytes oc header;
       close_out oc;
       let seen = ref [] in
-      let result = ok (Wal.replay ~path ~f:(fun r -> seen := r :: !seen)) in
+      let result = ok (replay ~path ~f:(fun r -> seen := r :: !seen)) in
       Alcotest.(check int) "intact prefix" 1 result.Wal.records;
       Alcotest.(check bool) "absurd claim read as a torn tail" true result.Wal.torn_tail;
       Alcotest.(check (list string)) "prefix applied" [ "intact" ] !seen)
@@ -472,7 +475,7 @@ let test_wal_bytes_stable_when_push_off () =
       Durable.close d;
       let (_ : Wal.replay_result) =
         ok
-          (Wal.replay
+          (replay
              ~path:(Filename.concat dir "node.wal")
              ~f:(fun r -> seen := r :: !seen))
       in
@@ -490,7 +493,7 @@ let journal_tags dir =
   let tags = ref [] in
   let (_ : Wal.replay_result) =
     ok
-      (Wal.replay ~path:(Durable.journal_path ~dir) ~f:(fun r ->
+      (replay ~path:(Durable.journal_path ~dir) ~f:(fun r ->
            tags := record_tag r :: !tags))
   in
   List.rev !tags
