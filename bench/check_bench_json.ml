@@ -55,6 +55,7 @@ let check_micro path doc =
       "e18 sharded skip"; "e18 sync-all"; "e19 reply codec v1";
       "e19 reply codec v2"; "e21 join bootstrap"; "e21 idle pull";
       "e4 add-log-record over 16384 items"; "e23 journal replay";
+      "e24 snapshot save per item"; "e24 snapshot load per item";
     ];
   (* The daemon-path instances (E22): every fan-out present with a
      finite positive rate, and the concurrent loop must not lose to the

@@ -743,6 +743,61 @@ let run_replay_benchmark ~quick () =
         };
       ])
 
+(* ------------------------------------------------------------------ *)
+(* E24 — checkpoints: snapshot save and load per item                  *)
+(*                                                                     *)
+(* A node 2 (n = 3) that pulled [items] 100-byte items from a writer,  *)
+(* as idle-large's replicas do before their first checkpoint. Save     *)
+(* times [Snapshot.save] to a file right after one more insert, which  *)
+(* sorts before every name present (so the sorted-name cache has an    *)
+(* item to merge); load times [Snapshot.load] of that file. One op is  *)
+(* one item; wall clock, best of the repetitions.                      *)
+(* ------------------------------------------------------------------ *)
+
+let run_snapshot_benchmark ~quick () =
+  let items = if quick then 10_000 else 50_000 in
+  let reps = if quick then 3 else 9 in
+  let writer = Node.create ~id:0 ~n:3 () in
+  for rank = 0 to items - 1 do
+    let item = Workload.item_name rank in
+    Node.update writer item (Operation.Set (Workload.payload ~item ~seq:1 ~size:100))
+  done;
+  let node = Node.create ~id:2 ~n:3 () in
+  let (_ : Node.pull_result) = Node.pull ~recipient:node ~source:writer () in
+  let path = Filename.temp_file "edb-bench-snapshot" ".snap" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let best f =
+        let best = ref infinity in
+        for rep = 1 to reps do
+          let t0 = Unix.gettimeofday () in
+          f rep;
+          best := Float.min !best (Unix.gettimeofday () -. t0)
+        done;
+        !best
+      in
+      let save =
+        best (fun rep ->
+            Node.update node (Printf.sprintf "a%d" rep) (Operation.Set "v");
+            Snapshot.save node ~path)
+      in
+      let load =
+        best (fun _ ->
+            match Snapshot.load ~path () with
+            | Ok (_ : Node.t) -> ()
+            | Error msg -> failwith ("snapshot bench: " ^ msg))
+      in
+      let entry what seconds =
+        {
+          name = Printf.sprintf "edb e24 snapshot %s per item" what;
+          ns_per_op = Some (seconds *. 1e9 /. float_of_int items);
+          r_square = None;
+          minor_words = None;
+        }
+      in
+      [ entry "save" save; entry "load" load ])
+
 let print_micro_table results =
   let table =
     Edb_metrics.Table.create
@@ -853,8 +908,11 @@ let () =
   print_newline ();
   let daemon = run_daemon_benchmarks ~quick () in
   let replay = run_replay_benchmark ~quick () in
+  let snapshot = run_snapshot_benchmark ~quick () in
   let results =
-    List.sort (fun a b -> String.compare a.name b.name) (results @ daemon @ replay)
+    List.sort
+      (fun a b -> String.compare a.name b.name)
+      (results @ daemon @ replay @ snapshot)
   in
   print_micro_table results;
   if json then write_json ~quick ~path:out experiments results

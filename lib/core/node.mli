@@ -319,18 +319,96 @@ val sync_pair : ?domains:int -> t -> t -> unit
 val fetch_out_of_bound : recipient:t -> source:t -> string -> oob_result
 (** One out-of-bound session for the given item. *)
 
-(** {1 State export / import}
+(** {1 Durable state: one traversal, one builder}
 
-    A faithful, self-contained value representation of a node's entire
-    durable state, used by the persistence layer ([edb_persist]) to
-    checkpoint and recover nodes. Export and re-import round-trips
-    every structure the protocol depends on, shard by shard: items with
-    IVVs, the per-shard DBVV, the per-shard log vector (in origin
-    order), auxiliary copies and the auxiliary log (in arrival order).
-    Exports are deterministic by construction: item lists are in
-    ascending name order (the store iterates sorted), auxiliary items
-    are sorted, and the summary DBVV is re-derived on import. *)
+    A node's entire durable state, shard by shard: items with IVVs, the
+    per-shard DBVV, the per-shard log vector (in origin order),
+    auxiliary copies and the auxiliary log (in arrival order). Volatile
+    state (counters, conflict reports, scratch flags, the peer cache,
+    op-log histories) is not part of it.
 
+    {!visit_shard} is the one walk over it and {!Restore} the one way
+    to rebuild a node from it. The snapshot codec ([edb_persist])
+    encodes straight from the walk and decodes straight into the
+    builder; {!export_state} and {!import_state} are thin wrappers over
+    the same two, into and out of plain values. *)
+
+type visitor = {
+  items : int -> unit;  (** The shard's regular item count, before its items. *)
+  item : Edb_store.Item.t -> unit;  (** Each regular item, ascending name order. *)
+  dbvv : Edb_vv.Version_vector.t -> unit;  (** The shard's DBVV. *)
+  log : origin:int -> int -> unit;
+      (** Before each log component, origins in order: its record count. *)
+  record : origin:int -> Edb_log.Log_record.t -> unit;
+      (** The component's records, oldest first. *)
+  aux_items : int -> unit;  (** The auxiliary copy count. *)
+  aux_item : Edb_store.Item.t -> unit;  (** Each auxiliary copy, ascending name order. *)
+  aux_log : int -> unit;  (** The auxiliary log's record count. *)
+  aux_record : Edb_log.Aux_log.record -> unit;  (** Its records, oldest first. *)
+}
+(** Callbacks for {!visit_shard}, called in the order of the fields:
+    every sequence's count comes before its elements, as a
+    count-prefixed encoding writes them. The items and records are the
+    node's own, shared rather than copied: a visitor must not mutate
+    them. *)
+
+val visit_shard : t -> int -> visitor -> unit
+(** [visit_shard t s v] walks shard [s]'s durable state in place. The
+    order is deterministic: it depends only on the state, never on
+    insertion history or hashing. *)
+
+(** Rebuild a node from its durable state, in {!visit_shard}'s order.
+    Tables are sized from the counts as they arrive, items are built
+    with their final IVVs, and each log record shares its item's name
+    string with the store. Raises [Invalid_argument] when the state is
+    structurally inconsistent (bad dimensions, duplicate items,
+    non-monotonic log sequences). *)
+module Restore : sig
+  type node := t
+
+  type t
+
+  val create : n:int -> t
+  (** A builder of a node of dimension [n], with no shard yet. *)
+
+  val shard : t -> items:int -> unit
+  (** Begins the next shard, sized for [items] regular items. The calls
+      below fill the shard begun last. *)
+
+  val item :
+    t -> name:string -> value:string -> ivv:Edb_vv.Version_vector.t -> unit
+
+  val dbvv : t -> Edb_vv.Version_vector.t -> unit
+
+  val log : t -> origin:int -> records:int -> unit
+  (** Selects component [origin], sized for [records] records, for the
+      {!record} calls that follow. *)
+
+  val record : t -> item:string -> seq:int -> unit
+
+  val aux_item :
+    t -> name:string -> value:string -> ivv:Edb_vv.Version_vector.t -> unit
+
+  val aux_record :
+    t -> item:string -> ivv:Edb_vv.Version_vector.t -> op:Edb_store.Operation.t -> unit
+
+  val finish :
+    ?policy:resolution_policy ->
+    ?conflict_handler:(Conflict.t -> unit) ->
+    ?mode:propagation_mode ->
+    t ->
+    id:int ->
+    node
+  (** The node, with its summary DBVV derived from the shards'. The
+      reconstructed node satisfies {!check_invariants} whenever the one
+      visited did. Per-item op histories are volatile: a node restored
+      in [Op_log] mode starts with empty histories and safely falls
+      back to whole-item shipping until new updates refill them. *)
+end
+
+(** The same state as plain values. Exports are deterministic by
+    construction (item lists in ascending name order), so two exports
+    compare equal exactly when the durable states agree. *)
 module State : sig
   type item = { name : string; value : string; ivv : int array }
 
@@ -348,9 +426,8 @@ module State : sig
 end
 
 val export_state : t -> State.t
-(** [export_state t] is a deep copy of [t]'s durable state. Volatile
-    state (counters, conflict reports, scratch flags, the peer cache)
-    is not part of it. *)
+(** [export_state t] is a deep copy of [t]'s durable state, through
+    {!visit_shard}. *)
 
 val import_state :
   ?policy:resolution_policy ->
@@ -359,13 +436,8 @@ val import_state :
   State.t ->
   t
 (** [import_state state] reconstructs a node with
-    [Array.length state.shards] shards. Raises [Invalid_argument] if
-    the state is structurally inconsistent (bad dimensions,
-    non-monotonic log sequences). The reconstructed node satisfies
-    {!check_invariants} whenever the exported one did. Per-item op
-    histories are volatile and not part of the state: a node restored
-    in [Op_log] mode starts with empty histories and safely falls back
-    to whole-item shipping until new updates refill them. *)
+    [Array.length state.shards] shards, through {!Restore}. Raises
+    [Invalid_argument] as {!Restore} does. *)
 
 (** {1 Membership reshape}
 

@@ -45,6 +45,8 @@ let has_records_for t item = earliest t item <> None
 
 let length t = Dll.length t.records
 
+let iter f t = Dll.fold_left (fun () r -> f r) () t.records
+
 let to_list t = Dll.to_list t.records
 
 let records_for t item =

@@ -39,6 +39,9 @@ val has_records_for : t -> string -> bool
 val length : t -> int
 (** [length t] is the total number of retained records. *)
 
+val iter : (record -> unit) -> t -> unit
+(** [iter f t] visits every retained record oldest first, in place. *)
+
 val to_list : t -> record list
 (** [to_list t] is every retained record, oldest first. For tests and
     inspection. *)

@@ -23,8 +23,7 @@ let table_size capacity =
   let rec grow size = if size >= 2 * capacity then size else grow (2 * size) in
   grow 16
 
-let create ?(capacity = 0) () =
-  { records = Dll.create no_record; slots = Array.make (table_size capacity) free }
+let create () = { records = Dll.create no_record; slots = Array.make (table_size 0) free }
 
 (* The slot holding [item]'s node, or the free slot where it belongs. *)
 let slot slots item =
@@ -36,13 +35,17 @@ let slot slots item =
   in
   probe (String.hash item land mask)
 
-let grow t =
-  let slots = Array.make (2 * Array.length t.slots) free in
+let resize t size =
+  let slots = Array.make size free in
   Array.iter
     (fun node ->
       if node != free then slots.(slot slots (Dll.value node).Log_record.item) <- node)
     t.slots;
   t.slots <- slots
+
+let reserve t capacity =
+  let size = table_size capacity in
+  if size > Array.length t.slots then resize t size
 
 let latest_seq t = (Dll.last_value t.records).seq
 
@@ -54,7 +57,8 @@ let add t ~item ~seq =
   let node = Array.unsafe_get t.slots i in
   if node == free then begin
     t.slots.(i) <- Dll.append t.records record;
-    if 2 * Dll.length t.records > Array.length t.slots then grow t
+    if 2 * Dll.length t.records > Array.length t.slots then
+      resize t (2 * Array.length t.slots)
   end
   else begin
     (* The item's node carries the new record to the tail: the stale
@@ -71,6 +75,8 @@ let find_record t item =
   if node == free then None else Some (Dll.value node)
 
 let length t = Dll.length t.records
+
+let iter f t = Dll.fold_left (fun () r -> f r) () t.records
 
 let to_list t = Dll.to_list t.records
 

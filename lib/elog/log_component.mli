@@ -23,11 +23,13 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** [create ?capacity ()] is an empty component whose pointer map is
-    sized for [capacity] items (default 0: the smallest table) — a
-    snapshot import passes the record count it is about to add, so the
-    map never grows. *)
+val create : unit -> t
+(** [create ()] is an empty component with the smallest pointer map. *)
+
+val reserve : t -> int -> unit
+(** [reserve t capacity] sizes the pointer map for [capacity] records,
+    so adding up to that many never grows it. A restore calls it with
+    the record count that precedes a component's records. *)
 
 val add : t -> item:string -> seq:int -> unit
 (** [add t ~item ~seq] is the paper's [AddLogRecord]: append [(item,
@@ -52,6 +54,9 @@ val find_record : t -> string -> Log_record.t option
 val length : t -> int
 (** [length t] is the number of retained records — hence also the number
     of distinct items with a retained record. *)
+
+val iter : (Log_record.t -> unit) -> t -> unit
+(** [iter f t] visits the retained records oldest first, in place. *)
 
 val to_list : t -> Log_record.t list
 (** [to_list t] is all retained records, oldest first. *)

@@ -1,12 +1,8 @@
 type t = Log_component.t array
 
-let create ?capacities ~n () =
+let create ~n () =
   if n <= 0 then invalid_arg "Log_vector.create: dimension must be positive";
-  match capacities with
-  | None -> Array.init n (fun _ -> Log_component.create ())
-  | Some caps ->
-    if Array.length caps <> n then invalid_arg "Log_vector.create: capacities dimension";
-    Array.map (fun capacity -> Log_component.create ~capacity ()) caps
+  Array.init n (fun _ -> Log_component.create ())
 
 let dimension t = Array.length t
 

@@ -7,10 +7,8 @@
 
 type t
 
-val create : ?capacities:int array -> n:int -> unit -> t
-(** [create ~n ()] is a log vector with [n] empty components; component
-    [j]'s pointer map is sized for [capacities.(j)] records when given
-    (an array of length [n]). *)
+val create : n:int -> unit -> t
+(** [create ~n ()] is a log vector with [n] empty components. *)
 
 val dimension : t -> int
 

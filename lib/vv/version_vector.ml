@@ -10,6 +10,11 @@ let of_array a =
   Array.iter (fun v -> if v < 0 then invalid_arg "Version_vector.of_array: negative component") a;
   Array.copy a
 
+let init n f =
+  let t = Array.init n f in
+  Array.iter (fun v -> if v < 0 then invalid_arg "Version_vector.init: negative component") t;
+  t
+
 let to_array t = Array.copy t
 
 let copy t = Array.copy t

@@ -33,6 +33,12 @@ val of_array : int array -> t
 (** [of_array a] copies [a] into a fresh vector. Components must be
     non-negative. *)
 
+val init : int -> (int -> int) -> t
+(** [init n f] is the vector [<f 0, ..., f (n-1)>], with [f] called in
+    index order: a decoder builds a vector straight from its bytes,
+    without the intermediate array {!of_array} copies. Components must
+    be non-negative. *)
+
 val to_array : t -> int array
 (** [to_array t] is a fresh array snapshot of [t]. *)
 

@@ -69,6 +69,32 @@ let test_flat_snapshot_fixture () =
   Node.update n "b" (set "2");
   Alcotest.(check string) "pinned snapshot" pinned_flat_snapshot (hex (Snapshot.encode n))
 
+(* Pinned fixture for the sharded snapshot (v3): four shards at n = 3,
+   with items in two shards, log records from two origins, an auxiliary
+   copy fetched out of bound and a splice deferred on it in the
+   auxiliary log. Written by the encoder that built every list first;
+   the direct encoder must reproduce it byte for byte. *)
+let pinned_sharded_snapshot =
+  "0800000000000000454442534e41503103000000000000009e0a364e00000000f10200000000000001000000000000000300000000000000040000000000000000000000000000000300000000000000000000000000000000000000000000000000000000000000030000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000003000000000000000000000000000000000000000000000000000000000000000300000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000300000000000000010000000000000061010000000000000031030000000000000000000000000000000100000000000000000000000000000001000000000000006201000000000000003203000000000000000000000000000000010000000000000000000000000000000300000000000000686f7400000000000000000300000000000000000000000000000000000000000000000000000000000000030000000000000000000000000000000200000000000000000000000000000003000000000000000000000000000000020000000000000001000000000000006101000000000000000100000000000000620200000000000000000000000000000001000000000000000300000000000000686f7402000000000000006878030000000000000001000000000000000100000000000000000000000000000001000000000000000300000000000000686f740300000000000000010000000000000000000000000000000000000000000000010000000000000001000000000000000100000000000000780100000000000000010000000000000070010000000000000071030000000000000001000000000000000000000000000000000000000000000003000000000000000100000000000000000000000000000000000000000000000300000000000000010000000000000001000000000000007001000000000000000000000000000000000000000000000000000000000000000000000000000000d308cb25f60ec26e" [@ocamlformat "disable"]
+
+let sharded_fixture_node () =
+  let node = Node.create ~id:1 ~n:3 ~shards:4 () in
+  let peer = Node.create ~id:0 ~n:3 ~shards:4 () in
+  Node.update node "a" (set "1");
+  Node.update node "b" (set "2");
+  Node.update peer "p" (set "q");
+  let (_ : Node.pull_result) = Node.pull ~recipient:node ~source:peer () in
+  Node.update peer "hot" (set "h1");
+  let (_ : Node.oob_result) = Node.fetch_out_of_bound ~recipient:node ~source:peer "hot" in
+  Node.update node "hot" (Operation.Splice { offset = 1; data = "x" });
+  node
+
+let test_sharded_snapshot_fixture () =
+  let node = sharded_fixture_node () in
+  Alcotest.(check int) "one aux copy" 1 (Node.aux_count node);
+  Alcotest.(check string) "pinned snapshot" pinned_sharded_snapshot
+    (hex (Snapshot.encode node))
+
 (* ---------- per-shard skipping ---------- *)
 
 (* Converge an 8-shard pair, then dirty items confined to a couple of
@@ -212,6 +238,18 @@ let test_flat_snapshot_decodes () =
     Alcotest.(check int) "one shard" 1 (Node.shards node);
     Alcotest.(check (option string)) "value survives" (Some "1") (Node.read node "a")
 
+(* The pinned v3 bytes load into the node that wrote them and re-encode
+   to themselves. *)
+let test_sharded_snapshot_decodes () =
+  match Snapshot.decode (unhex pinned_sharded_snapshot) with
+  | Error msg -> Alcotest.fail msg
+  | Ok node ->
+    Alcotest.(check int) "four shards" 4 (Node.shards node);
+    Alcotest.(check bool) "state equal" true
+      (Node.export_state node = Node.export_state (sharded_fixture_node ()));
+    Alcotest.(check string) "re-encodes to the pinned bytes" pinned_sharded_snapshot
+      (hex (Snapshot.encode node))
+
 (* ---------- durable shard-count skew ---------- *)
 
 let with_temp_dir f =
@@ -262,6 +300,10 @@ let suite =
     Alcotest.test_case "sharded matches flat" `Quick test_sharded_matches_flat;
     Alcotest.test_case "sharded snapshot round-trip" `Quick test_sharded_snapshot_roundtrip;
     Alcotest.test_case "flat (v2) snapshot decodes" `Quick test_flat_snapshot_decodes;
+    Alcotest.test_case "sharded snapshot fixture (pinned)" `Quick
+      test_sharded_snapshot_fixture;
+    Alcotest.test_case "sharded (v3) snapshot decodes" `Quick
+      test_sharded_snapshot_decodes;
     Alcotest.test_case "durable rejects shard skew" `Quick test_durable_rejects_shard_skew;
     Alcotest.test_case "mixed shard counts rejected" `Quick test_mixed_shard_counts_rejected;
   ]

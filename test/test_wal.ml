@@ -191,6 +191,23 @@ let prop_adler32_matches_reference =
       Codec.adler32 s = reference_adler32 s ~off:0 ~len:(String.length s)
       && Codec.adler32 ~off ~len s = reference_adler32 s ~off ~len)
 
+(* [adler32_combine] over a random split of a string whose length sits
+   on a boundary of the kernel's blocks (5552) or of the modulus
+   (65521), checked against the per-byte reference of the whole. *)
+let prop_adler32_combine =
+  let lengths = [ 0; 1; 5551; 5552; 5553; 65_520; 65_521; 65_522; (3 * 5552) + 7 ] in
+  QCheck2.Test.make ~name:"adler32_combine = adler32 of the concatenation" ~count:200
+    QCheck2.Gen.(
+      let* len = oneofl lengths in
+      let* s = string_size ~gen:char (return len) in
+      let* cut = int_range 0 len in
+      return (s, cut))
+    (fun (s, cut) ->
+      let len = String.length s in
+      let a = String.sub s 0 cut and b = String.sub s cut (len - cut) in
+      Codec.adler32_combine (Codec.adler32 a) (Codec.adler32 b) (String.length b)
+      = reference_adler32 s ~off:0 ~len)
+
 (* All-0xFF input drives both sums to their largest values between
    reductions: the worst case for reducing once per block. *)
 let test_adler32_worst_case_bytes () =
@@ -692,6 +709,7 @@ let suite =
     Alcotest.test_case "wal huge length claim is a torn tail" `Quick
       test_wal_huge_length_is_torn_tail;
     QCheck_alcotest.to_alcotest prop_adler32_matches_reference;
+    QCheck_alcotest.to_alcotest prop_adler32_combine;
     Alcotest.test_case "adler32 worst-case bytes" `Quick test_adler32_worst_case_bytes;
     Alcotest.test_case "durable: recover updates" `Quick
       test_durable_fresh_and_recover_updates;
