@@ -24,7 +24,14 @@ let decode_operation r =
     Operation.Splice { offset; data }
   | tag -> corrupt "unknown operation tag %d" tag
 
-let encode_vv w vv = Codec.Writer.array w Codec.Writer.int (Vv.to_array vv)
+(* [Codec.Writer.array]'s layout, written without copying the vector
+   to an array. *)
+let encode_vv w vv =
+  let n = Vv.dimension vv in
+  Codec.Writer.int w n;
+  for j = 0 to n - 1 do
+    Codec.Writer.int w (Vv.get vv j)
+  done
 
 let decode_vv r =
   let a =
