@@ -924,7 +924,9 @@ let serve_cmd =
     Arg.(
       value & opt int 0
       & info [ "checkpoint-every" ] ~docv:"K"
-          ~doc:"Checkpoint when the journal reaches K records (0: never).")
+          ~doc:
+            "Checkpoint when the journal reaches K records (0: never during a run; a \
+             restart still checkpoints a journal larger than its checkpoint).")
   in
   let max_runtime =
     Arg.(

@@ -78,9 +78,8 @@ let encode_membership op =
         Codec.Writer.int w name);
       Codec.Writer.contents w)
 
-let apply_journal_record node_ref membership data ~off ~len =
+let apply_journal_record node_ref membership r =
   let node = !node_ref in
-  let r = Codec.Reader.create ~off ~len data in
   (match Codec.Reader.int r with
   | 0 ->
     let item = Codec.Reader.string r in
@@ -128,8 +127,29 @@ let apply_journal_record node_ref membership data ~off ~len =
   | tag -> raise (Codec.Reader.Corrupt (Printf.sprintf "unknown journal tag %d" tag)));
   Codec.Reader.expect_end r
 
+let tmp_snapshot_path dir = snapshot_path dir ^ ".tmp"
+
+let retired_journal_path dir = journal_path ~dir ^ ".old"
+
+(* {!checkpoint} moves through four states by renames; this completes
+   whichever one a crash left:
+   - [node.wal.old] and [node.snap.tmp]: crashed before the snapshot
+     rename. The tmp file was complete before the journal was retired,
+     so roll forward: rename it into place and drop the old journal.
+   - [node.wal.old] alone: the snapshot already holds that journal.
+   - [node.snap.tmp] alone: crashed while writing it; the old snapshot
+     and journal are intact. *)
+let finish_checkpoint dir =
+  let tmp = tmp_snapshot_path dir and retired = retired_journal_path dir in
+  if Sys.file_exists retired then begin
+    if Sys.file_exists tmp then Sys.rename tmp (snapshot_path dir);
+    Sys.remove retired
+  end
+  else if Sys.file_exists tmp then Sys.remove tmp
+
 let open_or_create ?policy ?mode ?(shards = 1) ~dir ~id ~n () =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  finish_checkpoint dir;
   let from_checkpoint =
     if Sys.file_exists (snapshot_path dir) then
       Snapshot.load ?policy ?mode ~path:(snapshot_path dir) ()
@@ -150,7 +170,7 @@ let open_or_create ?policy ?mode ?(shards = 1) ~dir ~id ~n () =
       let node_ref = ref node in
       let membership = ref [] in
       match
-        Wal.replay ~path:(journal_path ~dir)
+        Wal.replay_blobs ~path:(journal_path ~dir)
           ~f:(apply_journal_record node_ref membership)
       with
       | Error _ as e -> e
@@ -172,7 +192,7 @@ let open_or_create ?policy ?mode ?(shards = 1) ~dir ~id ~n () =
 let node t = t.node
 
 let journal t record =
-  Wal.append ~flush:(not t.group_commit) t.wal record;
+  Wal.append_blob ~flush:(not t.group_commit) t.wal record;
   if t.group_commit then t.unsynced <- t.unsynced + 1;
   t.journal_records <- t.journal_records + 1
 
@@ -265,14 +285,30 @@ let retire_component t ~slot ~name =
 
 let membership_log t = t.membership
 
+(* Renames only, so a crash at any step leaves files [finish_checkpoint]
+   completes: never the new snapshot beside the journal it holds, whose
+   replay would apply those records twice. *)
 let checkpoint t =
   sync t;
-  Snapshot.save t.node ~path:(snapshot_path t.dir);
+  let journal = journal_path ~dir:t.dir in
+  Snapshot.write t.node ~path:(tmp_snapshot_path t.dir);
+  Fault.hit "checkpoint.snapshot.written";
   Wal.close_writer t.wal;
-  Wal.reset ~path:(journal_path ~dir:t.dir);
-  t.wal <- Wal.open_writer ~path:(journal_path ~dir:t.dir);
+  Sys.rename journal (retired_journal_path t.dir);
+  Fault.hit "checkpoint.journal.retired";
+  Sys.rename (tmp_snapshot_path t.dir) (snapshot_path t.dir);
+  Fault.hit "checkpoint.snapshot.renamed";
+  Sys.remove (retired_journal_path t.dir);
+  t.wal <- Wal.open_writer ~path:journal;
   t.journal_records <- 0;
-  t.membership <- []
+  t.membership <- [];
+  Fault.hit "checkpoint.journal.dropped"
+
+let file_bytes path =
+  if Sys.file_exists path then In_channel.with_open_bin path In_channel.length |> Int64.to_int
+  else 0
+
+let disk_bytes t = (file_bytes (journal_path ~dir:t.dir), file_bytes (snapshot_path t.dir))
 
 let journal_records t = t.journal_records
 

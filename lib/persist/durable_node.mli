@@ -148,8 +148,28 @@ val unsynced_records : t -> int
     commit is on). *)
 
 val checkpoint : t -> unit
-(** Write a fresh snapshot atomically and reset the journal (syncing
-    any pending group-commit batch first). *)
+(** Fold the journal into a fresh snapshot and start an empty journal
+    (syncing any pending group-commit batch first). Crash-atomic by
+    renames alone, in four steps, each followed by a failpoint
+    ({!Edb_fault.Fault}):
+    + write [node.snap.tmp] (["checkpoint.snapshot.written"]);
+    + rename [node.wal] to [node.wal.old] (["checkpoint.journal.retired"]);
+    + rename the tmp file over [node.snap] (["checkpoint.snapshot.renamed"]);
+    + unlink [node.wal.old] and open a fresh journal
+      (["checkpoint.journal.dropped"]).
+    {!open_or_create} finishes an interrupted checkpoint from the files
+    it finds: [node.wal.old] beside the tmp file rolls forward (the tmp
+    file was complete before step 2), [node.wal.old] alone is dropped
+    (the snapshot holds it), and a lone tmp file is removed. A process
+    crash at any step therefore recovers the pre-checkpoint state, and
+    no journal is ever replayed over a snapshot that holds it. An OS
+    crash is not covered: nothing is [fsync]ed, the directory
+    included. *)
+
+val disk_bytes : t -> int * int
+(** [(journal, checkpoint)]: the bytes of the journal and of the
+    snapshot on disk ([0] for no snapshot). Unsynced group-commit
+    records are not counted. *)
 
 val journal_records : t -> int
 (** Records in the journal since the last checkpoint: those replayed at

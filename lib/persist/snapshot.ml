@@ -192,16 +192,19 @@ let decode ?policy ?conflict_handler ?mode blob =
   | exception Codec.Reader.Corrupt msg -> Error ("corrupt snapshot: " ^ msg)
   | exception Invalid_argument msg -> Error ("inconsistent snapshot: " ^ msg)
 
-let save node ~path =
+let write node ~path =
   let blob = encode node in
+  let oc = open_out_bin path in
+  try
+    output_string oc blob;
+    close_out oc
+  with e ->
+    close_out_noerr oc;
+    raise e
+
+let save node ~path =
   let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     output_string oc blob;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     raise e);
+  write node ~path:tmp;
   Sys.rename tmp path
 
 let load ?policy ?conflict_handler ?mode ~path () =

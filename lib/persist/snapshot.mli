@@ -9,7 +9,7 @@
     ordinary anti-entropy brings it back up to date (this is exactly
     the failure model the paper's §8.2 relies on).
 
-    Writes are atomic: the snapshot is written to a temporary file in
+    {!save} is atomic: the snapshot is written to a temporary file in
     the same directory and renamed over the target, so a crash during
     checkpointing never destroys the previous checkpoint. *)
 
@@ -27,7 +27,13 @@ val decode :
     inconsistency). *)
 
 val save : Edb_core.Node.t -> path:string -> unit
-(** [save node ~path] writes {!encode}'s output atomically. *)
+(** [save node ~path] writes {!encode}'s output atomically: {!write} to
+    [path ^ ".tmp"], then a rename over [path]. *)
+
+val write : Edb_core.Node.t -> path:string -> unit
+(** [write node ~path] writes {!encode}'s output to [path] in place,
+    for a caller that renames it into place itself
+    ({!Durable_node.checkpoint}). *)
 
 val load :
   ?policy:Edb_core.Node.resolution_policy ->

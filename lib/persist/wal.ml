@@ -6,7 +6,8 @@ let open_writer ~path =
 
 module Fault = Edb_fault.Fault
 
-let append ?(flush = true) w record =
+(* Frames [record] with [sum], its Adler-32. *)
+let write_frame ~flush w record sum =
   let header = Bytes.create 8 in
   Bytes.set_int64_le header 0 (Int64.of_int (String.length record));
   output_bytes w.channel header;
@@ -24,9 +25,21 @@ let append ?(flush = true) w record =
   end
   else output_string w.channel record;
   let trailer = Bytes.create 4 in
-  Bytes.set_int32_le trailer 0 (Int32.of_int (Codec.adler32 record));
+  Bytes.set_int32_le trailer 0 (Int32.of_int sum);
   output_bytes w.channel trailer;
   if flush then Stdlib.flush w.channel
+
+let append ?(flush = true) w record = write_frame ~flush w record (Codec.adler32 record)
+
+(* A codec blob's last 4 bytes are the Adler-32 of the bytes before
+   them, so the sum of the whole blob is that stored sum combined with
+   the sum of the 4 trailer bytes: no pass over the payload. *)
+let append_blob ?(flush = true) w blob =
+  let body = String.length blob - 4 in
+  if body < 0 then invalid_arg "Wal.append_blob: shorter than a codec trailer";
+  let stored = Int32.to_int (String.get_int32_le blob body) land 0xFFFFFFFF in
+  write_frame ~flush w blob
+    (Codec.adler32_combine stored (Codec.adler32 ~off:body ~len:4 blob) 4)
 
 (* Group commit: callers append several records with [~flush:false] and
    release the whole batch with one [sync]. Until the sync, the records
@@ -41,7 +54,12 @@ let close_writer w = close_out w.channel
 
 type replay_result = { records : int; torn_tail : bool }
 
-let replay ~path ~f =
+(* Applies [f data ~off ~len ~body] to every intact frame, where [body]
+   is the Adler-32 of the record's first [len - 4] bytes (its codec
+   payload, when the record is a blob). The frame's own sum is derived
+   from it, so each record is read once, and the verdicts are those of
+   summing the whole record directly. *)
+let scan ~path ~f =
   if not (Sys.file_exists path) then Ok { records = 0; torn_tail = false }
   else
     match open_in_bin path with
@@ -72,20 +90,35 @@ let replay ~path ~f =
                for a length near [max_int]), as in [Codec.Reader.need]. *)
             Ok { records = count; torn_tail = true }
           else
-            let stored =
-              Int32.to_int (String.get_int32_le data (pos + 8 + len)) land 0xFFFFFFFF
+            let off = pos + 8 in
+            let stored = Int32.to_int (String.get_int32_le data (off + len)) land 0xFFFFFFFF in
+            let body_len = max 0 (len - 4) in
+            let body = Codec.adler32 ~off ~len:body_len data in
+            let frame =
+              Codec.adler32_combine body
+                (Codec.adler32 ~off:(off + body_len) ~len:(len - body_len) data)
+                (len - body_len)
             in
-            if stored <> Codec.adler32 ~off:(pos + 8) ~len data then
+            if stored <> frame then
               Error
                 (Printf.sprintf
                    "WAL damaged: checksum mismatch in record %d at offset %d" count
                    pos)
             else begin
-              f data ~off:(pos + 8) ~len;
-              loop (pos + 8 + len + 4) (count + 1)
+              f data ~off ~len ~body;
+              loop (off + len + 4) (count + 1)
             end
       in
       loop 0 0
+
+let replay ~path ~f = scan ~path ~f:(fun data ~off ~len ~body:_ -> f data ~off ~len)
+
+let replay_blobs ~path ~f =
+  scan ~path ~f:(fun data ~off ~len ~body ->
+      let checksum ~off:o ~len:l =
+        if o = off && l = len - 4 then body else Codec.adler32 ~off:o ~len:l data
+      in
+      f (Codec.Reader.create ~off ~len ~checksum data))
 
 let reset ~path =
   let oc = open_out_gen [ Open_trunc; Open_creat; Open_binary ] 0o644 path in

@@ -2,7 +2,8 @@
 
     Framing per record: 8-byte length, payload, 4-byte Adler-32 of the
     payload ({!Codec.adler32}, the same kernel as the codec trailer;
-    replay checksums each frame where it lies in the file buffer). {!replay} applies complete, checksummed records in order.
+    replay checksums each frame where it lies in the file buffer).
+    {!replay} applies complete, checksummed records in order.
     It distinguishes two kinds of damage: a final frame {e cut short by
     end-of-file} is the torn tail of a crashed append — expected, the
     tail is discarded and reported so callers can log the data-loss
@@ -35,6 +36,13 @@ val append : ?flush:bool -> writer -> string -> unit
     payload are flushed and the append "crashes" by raising, leaving a
     torn tail on disk. *)
 
+val append_blob : ?flush:bool -> writer -> string -> unit
+(** {!append} for a codec blob ({!Codec.Writer.contents}): the frame's
+    checksum is derived from the blob's own trailer
+    ({!Codec.adler32_combine}) instead of a pass over its bytes. The
+    frame is the one {!append} writes when the trailer is right;
+    [Invalid_argument] below 4 bytes. *)
+
 val sync : writer -> unit
 (** [sync w] flushes every record appended so far to the OS — the
     commit point for a group-commit batch built with
@@ -61,6 +69,14 @@ val replay :
     [Ok {torn_tail = true; _}]; a damaged complete frame anywhere is
     [Error] (and [f] has already been applied to the records before
     it). *)
+
+val replay_blobs :
+  path:string -> f:(Codec.Reader.t -> unit) -> (replay_result, string) result
+(** {!replay} for a journal of codec blobs: [f] gets each record as a
+    {!Codec.Reader.t} over it in place. One checksum pass per record
+    serves both its frame and its codec trailer, with the verdicts of
+    two. Raises {!Codec.Reader.Corrupt}, after the records before it
+    were applied, for an intact frame whose trailer does not match. *)
 
 val reset : path:string -> unit
 (** [reset ~path] truncates the log to empty (after a checkpoint). *)

@@ -480,6 +480,13 @@ let create config =
   match Durable_node.open_or_create ~dir ~id ~n () with
   | Error _ as e -> e
   | Ok (durable, _replay) -> (
+    (* End-of-recovery checkpoint: a journal longer than its checkpoint
+       is folded into a fresh one before the socket is bound. Each
+       compaction writes at most one snapshot byte per journal byte
+       appended since the last, and the next restart replays less than
+       one checkpoint's worth of journal. *)
+    let journal, snapshot = Durable_node.disk_bytes durable in
+    if journal > snapshot then Durable_node.checkpoint durable;
     match T.create ~listen ~id ~peers () with
     | Error _ as e ->
       Durable_node.close durable;

@@ -51,7 +51,7 @@ module Config : sig
     seed : int;  (** Peer choice and backoff jitter PRNG seed. *)
     checkpoint_every : int;
         (** Checkpoint when the journal reaches this many records;
-            [0] disables auto-checkpointing. *)
+            [0] disables checkpointing during a run. *)
     max_runtime : float option;
         (** Self-terminate after this many seconds — the timeout
             guard for scripted runs. *)
@@ -76,8 +76,10 @@ module Config : sig
     unit ->
     t
   (** Defaults: 50 ms anti-entropy, the default retry policy tightened
-      to a 0.5 s per-attempt timeout, no push, no auto-checkpoint, no
-      runtime bound, 4 concurrent sessions. *)
+      to a 0.5 s per-attempt timeout, no push, no checkpoint during a
+      run (a reopen still checkpoints a journal that outgrew its
+      checkpoint, see {!create}), no runtime bound, 4 concurrent
+      sessions. *)
 end
 
 (** The client-facing control protocol: one {!Edb_persist.Codec}
@@ -117,7 +119,17 @@ val create : Config.t -> (t, string) result
     Recovery replays the WAL over the latest checkpoint, so a daemon
     restarted after [kill -9] resumes exactly where the journal ends;
     when it recovered a non-zero DBVV, its sole-source first session
-    is opened here. *)
+    is opened here.
+
+    When the recovered journal's bytes exceed the checkpoint's (no
+    checkpoint counts as 0 bytes), the daemon checkpoints
+    ({!Edb_persist.Durable_node.checkpoint}, crash-atomic) before it
+    binds, so a restart replays less than one checkpoint's worth of
+    journal: its cost follows the state, not the history. The rule
+    needs no setting, and it runs only here, never during a run
+    ([checkpoint_every] covers that). The daemon has no membership
+    layer, so folding the journal's membership log into the snapshot
+    loses nothing. *)
 
 val node : t -> Edb_core.Node.t
 

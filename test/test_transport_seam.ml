@@ -1061,18 +1061,25 @@ let await_read ?(deadline = 20.0) h ~node ~item value ~since =
   in
   poll ()
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path data = Out_channel.with_open_bin path (fun oc -> output_string oc data)
+
 (* Concurrent sessions carry one DBVV to several peers, so two peers
    can answer with the same records. A reopened node pulls its backlog
    from one peer first, but the steady-state sessions after it still
    race. Only the first copy of a record may reach the journal:
    replayed record by record from a copy of node 2's journal, every
-   propagation-reply record must change the state. *)
+   propagation-reply record must change the state. Node 2 folds its
+   pre-kill journal into a checkpoint when it reopens, so the records
+   replay over a copy of that checkpoint. *)
 let test_daemon_catchup_journals_each_effect_once () =
   let module Durable = Edb_persist.Durable_node in
   let module Wal = Edb_persist.Wal in
   let dir = cluster_dir "catchup-journal" in
   let h = start_cluster ~ae_period:0.01 ~seed:77 ~dir ~n:3 () in
-  let records =
+  let node2 = Filename.concat dir "node2" in
+  let checkpoint, records =
     Fun.protect
       ~finally:(fun () -> Harness.shutdown h)
       (fun () ->
@@ -1096,16 +1103,17 @@ let test_daemon_catchup_journals_each_effect_once () =
         let records = ref [] in
         let (_ : Wal.replay_result) =
           require
-            (Wal.replay
-               ~path:(Durable.journal_path ~dir:(Filename.concat dir "node2"))
+            (Wal.replay ~path:(Durable.journal_path ~dir:node2)
                ~f:(fun data ~off ~len -> records := String.sub data off len :: !records))
         in
-        Array.of_list (List.rev !records))
+        ( read_file (Filename.concat node2 "node.snap"),
+          Array.of_list (List.rev !records) ))
   in
-  (* The state after the first [k] records, recovered from a journal
-     holding just those. *)
+  (* The state after the first [k] records, recovered from node 2's
+     checkpoint and a journal holding just those. *)
   let state_after k =
     let replay_dir = cluster_dir (Printf.sprintf "catchup-journal-replay-%d" k) in
+    write_file (Filename.concat replay_dir "node.snap") checkpoint;
     let path = Durable.journal_path ~dir:replay_dir in
     Wal.reset ~path;
     let w = Wal.open_writer ~path in
@@ -1130,6 +1138,53 @@ let test_daemon_catchup_journals_each_effect_once () =
       end)
     records;
   Alcotest.(check bool) "the catch-up was journaled" true (!replies >= 1)
+
+(* A daemon whose journal outgrew its checkpoint (here: it has none)
+   folds the journal into a fresh one before it binds, so its first
+   control reply already finds a new snapshot and an empty journal, and
+   the state it exports is the pre-kill one. After a few more writes
+   the journal is far smaller than that checkpoint: the next kill and
+   restart replays just those records and leaves the snapshot file
+   alone. *)
+let test_daemon_reopen_compacts_long_journal () =
+  let dir = cluster_dir "reopen-compact" in
+  let h = start_cluster ~seed:111 ~dir ~n:2 () in
+  let node1 = Filename.concat dir "node1" in
+  let snap = Filename.concat node1 "node.snap" in
+  let export () = Node.export_state (require (Harness.export h ~node:1)) in
+  let records () = fst (require (Harness.journal h ~node:1)) in
+  let inode () = (Unix.stat snap).Unix.st_ino in
+  Fun.protect
+    ~finally:(fun () -> Harness.shutdown h)
+    (fun () ->
+      for i = 0 to 39 do
+        let node = i mod 2 in
+        require
+          (Harness.update h ~node ~item:(Printf.sprintf "k%d.%d" i node)
+             (set (Printf.sprintf "%0100d" i)))
+      done;
+      await h;
+      let before = export () in
+      Alcotest.(check bool) "no checkpoint yet" false (Sys.file_exists snap);
+      Alcotest.(check bool) "a journal to fold" true (records () > 0);
+      Harness.kill h ~node:1;
+      Harness.restart h ~node:1;
+      let (_ : (string * int) list) = require (Harness.counters_of h ~node:1) in
+      Alcotest.(check bool) "a fresh checkpoint by the first reply" true (Sys.file_exists snap);
+      Alcotest.(check (pair int int)) "an empty journal by the first reply" (0, 0)
+        (require (Harness.journal h ~node:1));
+      Alcotest.(check bool) "the pre-kill export" true (export () = before);
+      (* Two more writes, far fewer bytes than the checkpoint. *)
+      require (Harness.update h ~node:1 ~item:"after.1" (set "a"));
+      require (Harness.update h ~node:1 ~item:"after.1" (set "b"));
+      let before = export () and snapshot = read_file snap and id = inode () in
+      Harness.kill h ~node:1;
+      Alcotest.(check int) "only the writes since are journaled" 2 (records ());
+      Harness.restart h ~node:1;
+      Alcotest.(check bool) "the second pre-kill export" true (export () = before);
+      Alcotest.(check int) "a shorter journal is kept" 2 (records ());
+      Alcotest.(check bool) "the snapshot file is untouched" true
+        (inode () = id && read_file snap = snapshot))
 
 (* A daemon reopened over existing state pulls at once, from one peer:
    the rounds are a second apart, yet node 2 reads the whole backlog
@@ -1409,6 +1464,8 @@ let suite =
       test_daemon_kill_idle_cached_peer;
     Alcotest.test_case "daemons: catch-up journals each session effect once" `Quick
       test_daemon_catchup_journals_each_effect_once;
+    Alcotest.test_case "daemons: a reopen folds a journal longer than its checkpoint" `Quick
+      test_daemon_reopen_compacts_long_journal;
     Alcotest.test_case "daemons: a reopened node catches up at once, from one source" `Quick
       test_daemon_reopen_catches_up_from_one_source;
     Alcotest.test_case "daemons: whole-cluster reopen still converges" `Quick

@@ -597,6 +597,93 @@ let test_durable_v1_reply_journal_compatible ~shards () =
         (Node.export_state (Durable.node d) = live);
       Durable.close d)
 
+(* ---------- One checksum pass per record, same verdicts ---------- *)
+
+type verdict = Replayed of int * bool | Damaged | Bad_blob of int
+
+(* What a replay that sums each whole frame, then each blob's payload,
+   directly concludes: the two-pass reading the one-pass replay must
+   agree with. [Bad_blob k]: an intact frame after [k] records holds no
+   valid codec blob. *)
+let reference_verdict ~blobs data =
+  let limit = String.length data in
+  let rec loop pos count =
+    if pos = limit then Replayed (count, false)
+    else if pos + 8 > limit then Replayed (count, true)
+    else
+      let len = Int64.to_int (String.get_int64_le data pos) in
+      if len < 0 then Damaged
+      else if len > limit - pos - 12 then Replayed (count, true)
+      else if
+        Int32.to_int (String.get_int32_le data (pos + 8 + len)) land 0xFFFFFFFF
+        <> Codec.adler32 ~off:(pos + 8) ~len data
+      then Damaged
+      else
+        match if blobs then ignore (Codec.Reader.create ~off:(pos + 8) ~len data) with
+        | exception Codec.Reader.Corrupt _ -> Bad_blob count
+        | () -> loop (pos + 8 + len + 4) (count + 1)
+  in
+  loop 0 0
+
+let replay_verdict ~blobs path =
+  let applied = ref 0 in
+  match
+    if blobs then Wal.replay_blobs ~path ~f:(fun _ -> incr applied)
+    else Wal.replay ~path ~f:(fun _ ~off:_ ~len:_ -> incr applied)
+  with
+  | Ok r -> Replayed (r.Wal.records, r.Wal.torn_tail)
+  | Error _ -> Damaged
+  | exception Codec.Reader.Corrupt _ -> Bad_blob !applied
+
+(* Codec blobs as the durable node journals them; one spans more than
+   one 5552-byte Adler-32 block. *)
+let journal_blobs =
+  List.map
+    (fun value ->
+      Codec.Writer.with_scratch (fun w ->
+          Codec.Writer.int w 0;
+          Codec.Writer.string w value;
+          Codec.Writer.contents w))
+    [ "a"; ""; String.make 6000 'v'; "tail" ]
+
+let wal_image append records =
+  with_temp_file (fun path ->
+      let w = Wal.open_writer ~path in
+      List.iter (append w) records;
+      Wal.close_writer w;
+      In_channel.with_open_bin path In_channel.input_all)
+
+(* [append_blob] takes the frame sum from the blob's trailer; the
+   frame must be the one [append] writes by summing the record. *)
+let test_wal_append_blob_frames_as_append () =
+  Alcotest.(check string) "same bytes" (wal_image Wal.append journal_blobs)
+    (wal_image Wal.append_blob journal_blobs)
+
+(* Flip one byte anywhere in a journal image: [replay] (any records,
+   some shorter than a codec trailer) and [replay_blobs] (codec blobs)
+   must reach the two-pass verdict — torn tail, damaged frame, or a
+   bad blob after the same prefix. *)
+let prop_one_pass_verdicts =
+  let opaque = [ "one"; ""; "ab" ] @ journal_blobs in
+  let images =
+    [
+      (false, (wal_image Wal.append opaque, List.length opaque));
+      (true, (wal_image Wal.append_blob journal_blobs, List.length journal_blobs));
+    ]
+  in
+  QCheck2.Test.make ~name:"wal: a flipped byte gets the two-pass verdict" ~count:400
+    QCheck2.Gen.(triple bool (float_bound_exclusive 1.0) (int_range 1 255))
+    (fun (blobs, at, mask) ->
+      let image, records = List.assoc blobs images in
+      let pos = int_of_float (at *. float_of_int (String.length image)) in
+      let flipped = Bytes.of_string image in
+      Bytes.set flipped pos (Char.chr (Char.code image.[pos] lxor mask));
+      let flipped = Bytes.to_string flipped in
+      with_temp_file (fun path ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc flipped);
+          reference_verdict ~blobs image = Replayed (records, false)
+          && replay_verdict ~blobs path = reference_verdict ~blobs flipped))
+
 (* Property: crash-recovery equivalence. For any script of updates,
    pulls, out-of-bound fetches and two-source rounds (one request
    answered by both remotes, as the daemon's concurrent sessions do)
@@ -698,6 +785,9 @@ let suite =
   [
     Alcotest.test_case "wal round-trip" `Quick test_wal_roundtrip;
     QCheck_alcotest.to_alcotest prop_crash_recovery_equivalence;
+    Alcotest.test_case "wal: append_blob frames as append" `Quick
+      test_wal_append_blob_frames_as_append;
+    QCheck_alcotest.to_alcotest prop_one_pass_verdicts;
     Alcotest.test_case "wal missing file" `Quick test_wal_missing_file_is_empty;
     Alcotest.test_case "wal reopen appends" `Quick test_wal_append_survives_reopen;
     Alcotest.test_case "wal torn tail discarded" `Quick test_wal_torn_tail_discarded;
