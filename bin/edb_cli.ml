@@ -925,8 +925,9 @@ let serve_cmd =
       value & opt int 0
       & info [ "checkpoint-every" ] ~docv:"K"
           ~doc:
-            "Checkpoint when the journal reaches K records (0: never during a run; a \
-             restart still checkpoints a journal larger than its checkpoint).")
+            "Checkpoint when the journal reaches K records (0: no periodic checkpoint; a \
+             restart still checkpoints once after its catch-up round, and before it binds \
+             when the journal is larger than its checkpoint).")
   in
   let max_runtime =
     Arg.(

@@ -148,6 +148,10 @@ module Writer = struct
     int t (String.length s);
     bytes t s
 
+  let blit t s ~off ~len =
+    if room t len then Bytes.blit_string s off t.buf t.pos len;
+    t.pos <- t.pos + len
+
   let bool t v = char t (if v then '\001' else '\000')
 
   let byte t v =
@@ -362,6 +366,8 @@ module Reader = struct
     s
 
   let remaining t = t.limit - t.pos
+
+  let position t = t.pos
 
   let expect_end t =
     if t.pos <> t.limit then

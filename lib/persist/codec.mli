@@ -64,6 +64,11 @@ module Writer : sig
   (** Varint-length-prefixed bytes (the wire-v2 string form; {!string}
       is the fixed-width form). *)
 
+  val blit : t -> string -> off:int -> len:int -> unit
+  (** The [len] bytes of a string at [off], as they are: no length
+      prefix. For bytes already in this codec's form, such as a body
+      cut from a decoded frame. *)
+
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   (** Count-prefixed sequence. *)
 
@@ -147,6 +152,9 @@ module Reader : sig
   (** Unread payload bytes — the bound hand-rolled decoders (e.g.
       {!Wire_v2}) use to reject forged element counts before
       allocating. *)
+
+  val position : t -> int
+  (** The offset in the underlying data of the next unread byte. *)
 
   val expect_end : t -> unit
   (** Raises {!Corrupt} unless every payload byte was consumed. *)

@@ -41,11 +41,13 @@ let encode_update item op =
       Wire.encode_operation w op;
       Codec.Writer.contents w)
 
-let encode_reply ~source reply =
+let encode_reply ?wire ~source reply =
   Codec.Writer.with_scratch (fun w ->
       Codec.Writer.int w 5;
       Codec.Writer.int w source;
-      Wire_v2.encode_propagation_reply w reply;
+      (match wire with
+      | Some (data, off, len) -> Codec.Writer.blit w data ~off ~len
+      | None -> Wire_v2.encode_propagation_reply w reply);
       Codec.Writer.contents w)
 
 let encode_oob ~source reply =
@@ -176,6 +178,11 @@ let open_or_create ?policy ?mode ?(shards = 1) ~dir ~id ~n () =
       | Error _ as e -> e
       | exception Codec.Reader.Corrupt msg -> Error ("corrupt journal record: " ^ msg)
       | Ok replay_result ->
+        (* A torn tail's bytes must go before anything is appended
+           after them: the next replay would read the torn frame's
+           length header over the newer records. *)
+        if replay_result.torn_tail then
+          Unix.truncate (journal_path ~dir) replay_result.intact;
         let wal = Wal.open_writer ~path:(journal_path ~dir) in
         Ok
           ( {
@@ -228,11 +235,11 @@ let update t item op =
    after it (durable.apply.before, or any accept.* point inside
    accept_propagation) re-applies the journaled reply on recovery,
    yielding exactly the post-session state. Never torn. *)
-let commit_reply t ~source reply =
+let commit_reply ?wire t ~source reply =
   if Node.reply_is_noop t.node reply then { Node.copied = []; conflicts = 0; resolved = 0 }
   else begin
     Fault.hit "durable.journal.before";
-    journal t (encode_reply ~source reply);
+    journal t (encode_reply ?wire ~source reply);
     Fault.hit "durable.apply.before";
     Node.accept_propagation t.node ~source reply
   end
@@ -244,8 +251,8 @@ let pull_from t ~source =
   | (Message.Propagate _ | Message.Propagate_sharded _) as reply ->
     Node.Pulled (commit_reply t ~source:(Node.id source) reply)
 
-let accept_reply t ~source reply =
-  let (_ : Node.accept_result) = commit_reply t ~source reply in
+let accept_reply ?wire t ~source reply =
+  let (_ : Node.accept_result) = commit_reply ?wire t ~source reply in
   ()
 
 let apply_push t ~source update =

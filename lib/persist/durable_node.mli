@@ -61,7 +61,9 @@ val open_or_create :
     starts fresh) and replays the journal. The directory is created if
     missing. Fails if the checkpoint is unreadable or does not match
     [id]/[n]/[shards] (default 1). The replay result reports recovered
-    records and whether a torn tail was discarded.
+    records and whether a torn tail was discarded; a discarded tail is
+    also cut from the journal file, so records appended after it are
+    replayed next time.
 
     [id] and [n] name the {e checkpoint} geometry: journaled membership
     reshapes (tag-4 records) replay on top of it, so the recovered
@@ -83,12 +85,17 @@ val pull_from : t -> source:Edb_core.Node.t -> Edb_core.Node.pull_result
     is journaled (tag 5), then accepted — unless it is a no-op, which
     is neither and reports [Pulled] with nothing copied. *)
 
-val accept_reply : t -> source:int -> Edb_core.Message.propagation_reply -> unit
+val accept_reply :
+  ?wire:string * int * int -> t -> source:int -> Edb_core.Message.propagation_reply -> unit
 (** Journal, then accept, a propagation reply that arrived from a
     remote transport already decoded (the socket daemon's session
     path) — the same commit discipline and no-op rule as {!pull_from},
     which covers the in-process case. [You_are_current] is always a
-    no-op. *)
+    no-op. [~wire:(data, off, len)] is where the reply's {!Wire_v2}
+    body lies in the frame it came in
+    ({!Frame.decode_reply_with_body}): the record then holds those
+    bytes as they are instead of a re-encoding, which is the same
+    bytes for a frame this build encoded. *)
 
 val fetch_out_of_bound_from :
   t -> source:Edb_core.Node.t -> string -> Edb_core.Node.oob_result

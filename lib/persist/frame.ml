@@ -155,7 +155,7 @@ let encode_request node ~dst =
       else Wire.encode_propagation_request w req;
       W.contents w)
 
-let decode_reply node ~src data =
+let decode_reply_with_body node ~src data =
   let r = R.create data in
   let version, advertised, kind = decode_header r in
   let st = wire_state node ~peer:src in
@@ -171,9 +171,10 @@ let decode_reply node ~src data =
     (match st.last_sent with
     | Some b when req_id = 0 || b.id = req_id -> st.acked <- None
     | _ -> ());
-    Nak req_id
+    (Nak req_id, None)
   | k when k = kind_reply ->
     let n = Node.dimension node in
+    let body = R.position r in
     let reply =
       if version >= 2 then Wire_v2.decode_propagation_reply r ~n
       else Wire.decode_propagation_reply r
@@ -187,8 +188,10 @@ let decode_reply node ~src data =
     (match st.last_sent with
     | Some b when req_id > 0 && b.id = req_id -> st.acked <- Some b
     | _ -> ());
-    Reply (reply, req_id)
+    (Reply (reply, req_id), if version >= 2 then Some (body, R.position r - body) else None)
   | _ -> corrupt "expected a reply frame, got a request"
+
+let decode_reply node ~src data = fst (decode_reply_with_body node ~src data)
 
 (* ------------------------------------------------------------------ *)
 (* Source side                                                         *)

@@ -67,6 +67,13 @@ val decode_reply : Edb_core.Node.t -> src:int -> string -> decoded_reply
     version; a reply echoing the newest outstanding request id promotes
     that request's vector to the delta baseline, a nak drops it. *)
 
+val decode_reply_with_body :
+  Edb_core.Node.t -> src:int -> string -> decoded_reply * (int * int) option
+(** {!decode_reply}, plus where a v2 reply's {!Wire_v2} body lies in
+    the frame, as [(off, len)]: the bytes {!Wire_v2.encode_propagation_reply}
+    wrote, which a journal can keep as they are. [None] for a nak or a
+    v1 reply. *)
+
 val push_ready : Edb_core.Node.t -> dst:int -> bool
 (** Whether the best-effort push stream may flow to [dst]: this node
     speaks v2 and a decoded frame from [dst] has advertised v2. Until

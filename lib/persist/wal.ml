@@ -52,7 +52,7 @@ let sync w = Stdlib.flush w.channel
 
 let close_writer w = close_out w.channel
 
-type replay_result = { records : int; torn_tail : bool }
+type replay_result = { records : int; torn_tail : bool; intact : int }
 
 (* Applies [f data ~off ~len ~body] to every intact frame, where [body]
    is the Adler-32 of the record's first [len - 4] bytes (its codec
@@ -60,7 +60,7 @@ type replay_result = { records : int; torn_tail : bool }
    from it, so each record is read once, and the verdicts are those of
    summing the whole record directly. *)
 let scan ~path ~f =
-  if not (Sys.file_exists path) then Ok { records = 0; torn_tail = false }
+  if not (Sys.file_exists path) then Ok { records = 0; torn_tail = false; intact = 0 }
   else
     match open_in_bin path with
     | exception Sys_error msg -> Error ("cannot open WAL: " ^ msg)
@@ -76,8 +76,8 @@ let scan ~path ~f =
          would un-acknowledge updates other replicas may already have
          observed, so that is a hard error. *)
       let rec loop pos count =
-        if pos = limit then Ok { records = count; torn_tail = false }
-        else if pos + 8 > limit then Ok { records = count; torn_tail = true }
+        if pos = limit then Ok { records = count; torn_tail = false; intact = pos }
+        else if pos + 8 > limit then Ok { records = count; torn_tail = true; intact = pos }
         else
           let len = Int64.to_int (String.get_int64_le data pos) in
           if len < 0 then
@@ -88,7 +88,7 @@ let scan ~path ~f =
           else if len > limit - pos - 12 then
             (* Written so it cannot overflow ([pos + 8 + len + 4] wraps
                for a length near [max_int]), as in [Codec.Reader.need]. *)
-            Ok { records = count; torn_tail = true }
+            Ok { records = count; torn_tail = true; intact = pos }
           else
             let off = pos + 8 in
             let stored = Int32.to_int (String.get_int32_le data (off + len)) land 0xFFFFFFFF in

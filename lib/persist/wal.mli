@@ -56,6 +56,9 @@ type replay_result = {
   torn_tail : bool;
       (** Whether a final frame truncated by end-of-file was
           discarded. *)
+  intact : int;
+      (** Bytes of the intact prefix: where a torn tail starts, else
+          the file's length. *)
 }
 
 val replay :

@@ -16,18 +16,22 @@ let corrupt fmt = Printf.ksprintf (fun msg -> raise (R.Corrupt msg)) fmt
    a propagation reply — once per log record plus once per shipped item
    — so this collapses each name to one or two bytes after its debut.
    The dictionary never crosses a message boundary: encoder and decoder
-   both start empty per message, so frames stay self-contained. *)
+   both start empty per message, so frames stay self-contained. The
+   encoder's table is sized from the message (its shipped items or
+   pushed updates, about one name each), so it never grows mid-encode. *)
 module Dict = struct
   module Writer = struct
-    let create () : (string, int) Hashtbl.t = Hashtbl.create 32
+    module Names = Hashtbl.Make (String)
+
+    let create ~size : int Names.t = Names.create size
 
     let string d w s =
-      match Hashtbl.find_opt d s with
-      | Some k -> W.varint w (k + 1)
-      | None ->
+      match Names.find d s with
+      | k -> W.varint w (k + 1)
+      | exception Not_found ->
         W.varint w 0;
         W.vstring w s;
-        Hashtbl.add d s (Hashtbl.length d)
+        Names.add d s (Names.length d)
   end
 
   module Reader = struct
@@ -280,14 +284,18 @@ let decode_items dict r ~n =
   List.init count (fun _ -> decode_shipped_item dict r ~n)
 
 let encode_propagation_reply w (reply : Message.propagation_reply) =
-  let dict = Dict.Writer.create () in
   match reply with
   | Message.You_are_current -> W.byte w 0
   | Message.Propagate { tails; items } ->
+    let dict = Dict.Writer.create ~size:(List.length items) in
     W.byte w 1;
     encode_tails dict w tails;
     encode_items dict w items
   | Message.Propagate_sharded deltas ->
+    let dict =
+      Dict.Writer.create
+        ~size:(List.fold_left (fun acc (d : Message.shard_delta) -> acc + List.length d.items) 0 deltas)
+    in
     W.byte w 2;
     W.varint w (List.length deltas);
     List.iter
@@ -392,7 +400,7 @@ let decode_oob_reply r ~n =
 (* ------------------------------------------------------------------ *)
 
 let encode_push w updates =
-  let dict = Dict.Writer.create () in
+  let dict = Dict.Writer.create ~size:(List.length updates) in
   W.varint w (List.length updates);
   List.iter
     (fun (u : Message.push_update) ->

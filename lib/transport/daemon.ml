@@ -176,6 +176,12 @@ end
    machine is [In_flight]. *)
 type session = { s_peer : int; machine : Initiator.t; mutable sconn : T.conn option }
 
+(* A reopened daemon folds its journal once, after catching up:
+   [After_catchup] until the round that follows the sole-source
+   session, [Next_tick] from then until a regular tick finds no
+   session in flight. *)
+type compaction = No | After_catchup | Next_tick
+
 type t = {
   config : Config.t;
   durable : Durable_node.t;
@@ -195,6 +201,8 @@ type t = {
      state is pulling from a single peer (see [create]): rounds top up
      to one session until that session ends. *)
   mutable sole_source : bool;
+  (* The one compaction of a reopen (see [compact_at_tick]). *)
+  mutable compaction : compaction;
   (* Persistent non-blocking push connections, one per peer dialed on
      first flush: a slow push peer accumulates buffered frames (up to
      the transport's cap) instead of stalling the loop. *)
@@ -318,11 +326,12 @@ let awaiting_reply t s =
   | None -> false
 
 let session_reply t s frame =
-  match Frame.decode_reply (node t) ~src:s.s_peer frame with
-  | Frame.Nak _ | Frame.Reply (Message.You_are_current, _) ->
+  match Frame.decode_reply_with_body (node t) ~src:s.s_peer frame with
+  | (Frame.Nak _ | Frame.Reply (Message.You_are_current, _)), _ ->
     apply t s (Initiator.reply s.machine)
-  | Frame.Reply (reply, _) ->
-    Durable_node.accept_reply t.durable ~source:s.s_peer reply;
+  | Frame.Reply (reply, _), body ->
+    let wire = Option.map (fun (off, len) -> (frame, off, len)) body in
+    Durable_node.accept_reply ?wire t.durable ~source:s.s_peer reply;
     apply t s (Initiator.reply s.machine)
   | exception Codec.Reader.Corrupt _ -> session_attempt_failed t s
 
@@ -480,11 +489,12 @@ let create config =
   match Durable_node.open_or_create ~dir ~id ~n () with
   | Error _ as e -> e
   | Ok (durable, _replay) -> (
-    (* End-of-recovery checkpoint: a journal longer than its checkpoint
+    (* The backstop to [compact_at_tick]: a journal longer than its
+       checkpoint, left by an incarnation that died before compacting,
        is folded into a fresh one before the socket is bound. Each
-       compaction writes at most one snapshot byte per journal byte
-       appended since the last, and the next restart replays less than
-       one checkpoint's worth of journal. *)
+       such compaction writes at most one snapshot byte per journal
+       byte appended since the last, and the next restart replays less
+       than one checkpoint's worth of journal. *)
     let journal, snapshot = Durable_node.disk_bytes durable in
     if journal > snapshot then Durable_node.checkpoint durable;
     match T.create ~listen ~id ~peers () with
@@ -518,6 +528,7 @@ let create config =
           conns = [];
           sessions = Hashtbl.create 8;
           sole_source = reopened;
+          compaction = (if reopened then After_catchup else No);
           push_conns = Hashtbl.create 8;
           idle = Hashtbl.create 8;
           (* The first regular round: staggered on a fresh boot, one
@@ -579,6 +590,20 @@ let finalize_turn t =
   in
   List.iter (fun (dst, conn) -> drop_push_conn t dst conn) dead_push
 
+(* The catch-up round is the sole-source session plus the round its
+   end triggers. The journal then holds the backlog just pulled, which
+   the node already serves, so the first regular tick after that round
+   with no session in flight folds it into a checkpoint: the next
+   restart replays only what came after. Waiting that one tick keeps
+   the checkpoint, which blocks the loop, off the catch-up itself. *)
+let compact_at_tick t =
+  match t.compaction with
+  | After_catchup when not t.sole_source -> t.compaction <- Next_tick
+  | Next_tick when Hashtbl.length t.sessions = 0 ->
+    t.compaction <- No;
+    if Durable_node.journal_records t.durable > 0 then Durable_node.checkpoint t.durable
+  | No | After_catchup | Next_tick -> ()
+
 let step t =
   let now = Unix.gettimeofday () in
   (* Timers first: they may start or fail sessions, changing the fd
@@ -591,6 +616,7 @@ let step t =
     (all_sessions t);
   if now >= t.next_ae then begin
     t.next_ae <- now +. t.config.Config.ae_period;
+    compact_at_tick t;
     if t.config.Config.n > 1 then top_up_sessions t
   end;
   if now >= t.next_push then begin

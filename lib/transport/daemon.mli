@@ -51,7 +51,8 @@ module Config : sig
     seed : int;  (** Peer choice and backoff jitter PRNG seed. *)
     checkpoint_every : int;
         (** Checkpoint when the journal reaches this many records;
-            [0] disables checkpointing during a run. *)
+            [0] disables the periodic checkpoint (a reopen's own
+            compactions, see {!create}, still run). *)
     max_runtime : float option;
         (** Self-terminate after this many seconds — the timeout
             guard for scripted runs. *)
@@ -76,10 +77,10 @@ module Config : sig
     unit ->
     t
   (** Defaults: 50 ms anti-entropy, the default retry policy tightened
-      to a 0.5 s per-attempt timeout, no push, no checkpoint during a
-      run (a reopen still checkpoints a journal that outgrew its
-      checkpoint, see {!create}), no runtime bound, 4 concurrent
-      sessions. *)
+      to a 0.5 s per-attempt timeout, no push, no periodic checkpoint
+      (a reopen still checkpoints once after its catch-up round, and
+      before it binds when its journal outgrew its checkpoint, see
+      {!create}), no runtime bound, 4 concurrent sessions. *)
 end
 
 (** The client-facing control protocol: one {!Edb_persist.Codec}
@@ -121,15 +122,27 @@ val create : Config.t -> (t, string) result
     when it recovered a non-zero DBVV, its sole-source first session
     is opened here.
 
-    When the recovered journal's bytes exceed the checkpoint's (no
-    checkpoint counts as 0 bytes), the daemon checkpoints
-    ({!Edb_persist.Durable_node.checkpoint}, crash-atomic) before it
-    binds, so a restart replays less than one checkpoint's worth of
-    journal: its cost follows the state, not the history. The rule
-    needs no setting, and it runs only here, never during a run
-    ([checkpoint_every] covers that). The daemon has no membership
-    layer, so folding the journal's membership log into the snapshot
-    loses nothing. *)
+    A reopened daemon folds its journal into a checkpoint
+    ({!Edb_persist.Durable_node.checkpoint}, crash-atomic) once, after
+    it has caught up: at the first regular anti-entropy tick after its
+    catch-up round (the sole-source session and the round its end
+    triggers) that finds no session in flight, and only when the
+    journal holds a record. The journal then holds the backlog just
+    pulled, so the next restart replays only what was journaled after
+    it. The checkpoint blocks the loop while it runs, but after the
+    node serves the backlog, not between exec and its first reply.
+
+    The backstop: when the recovered journal's bytes exceed the
+    checkpoint's (no checkpoint counts as 0 bytes), the daemon also
+    checkpoints before it binds. That happens only when the previous
+    incarnation died before its own post-catch-up compaction (a crash
+    loop) or on a first open over a long journal, and it keeps a
+    restart's replay under one checkpoint's worth of journal even
+    then: its cost follows the state, not the history. Neither rule
+    needs a setting; a periodic checkpoint during a run is
+    [checkpoint_every]'s. The daemon has no membership layer, so
+    folding the journal's membership log into the snapshot loses
+    nothing. *)
 
 val node : t -> Edb_core.Node.t
 
@@ -142,9 +155,9 @@ val refused_replies : t -> int
 
 val step : t -> unit
 (** One select-loop iteration: fire due timers (anti-entropy session,
-    session deadline or backoff, push flush, auto-checkpoint), then
-    wait briefly for readiness and service every readable
-    connection. *)
+    session deadline or backoff, push flush, periodic or post-catch-up
+    checkpoint), then wait briefly for readiness and service every
+    readable connection. *)
 
 val shutdown : t -> unit
 

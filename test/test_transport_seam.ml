@@ -1072,12 +1072,14 @@ let write_file path data = Out_channel.with_open_bin path (fun oc -> output_stri
    replayed record by record from a copy of node 2's journal, every
    propagation-reply record must change the state. Node 2 folds its
    pre-kill journal into a checkpoint when it reopens, so the records
-   replay over a copy of that checkpoint. *)
+   replay over a copy of that checkpoint. Both files are read before
+   the regular tick that folds the catch-up into a checkpoint too: the
+   rounds are a second apart, and the catch-up round runs at once. *)
 let test_daemon_catchup_journals_each_effect_once () =
   let module Durable = Edb_persist.Durable_node in
   let module Wal = Edb_persist.Wal in
   let dir = cluster_dir "catchup-journal" in
-  let h = start_cluster ~ae_period:0.01 ~seed:77 ~dir ~n:3 () in
+  let h = start_cluster ~ae_period:1.0 ~seed:77 ~dir ~n:3 () in
   let node2 = Filename.concat dir "node2" in
   let checkpoint, records =
     Fun.protect
@@ -1097,17 +1099,21 @@ let test_daemon_catchup_journals_each_effect_once () =
         let (_ : float) = await_read h ~node:0 ~item:"k19.1" (down 19) ~since in
         let (_ : float) = await_read h ~node:1 ~item:"k18.0" (down 18) ~since in
         Harness.restart h ~node:2;
-        await h;
-        Alcotest.(check bool) "node 2 caught up" true
-          (require (Harness.read h ~node:2 ~item:"k19.1") <> None);
+        let (_ : float) =
+          await_read h ~node:2 ~item:"k19.1" (down 19) ~since:(Unix.gettimeofday ())
+        in
+        (* The catch-up round's other sessions end within milliseconds;
+           the compaction is a whole period away. *)
+        Unix.sleepf 0.2;
         let records = ref [] in
         let (_ : Wal.replay_result) =
           require
             (Wal.replay ~path:(Durable.journal_path ~dir:node2)
                ~f:(fun data ~off ~len -> records := String.sub data off len :: !records))
         in
-        ( read_file (Filename.concat node2 "node.snap"),
-          Array.of_list (List.rev !records) ))
+        let files = (read_file (Filename.concat node2 "node.snap"), Array.of_list (List.rev !records)) in
+        await h;
+        files)
   in
   (* The state after the first [k] records, recovered from node 2's
      checkpoint and a journal holding just those. *)
@@ -1145,10 +1151,11 @@ let test_daemon_catchup_journals_each_effect_once () =
    the state it exports is the pre-kill one. After a few more writes
    the journal is far smaller than that checkpoint: the next kill and
    restart replays just those records and leaves the snapshot file
-   alone. *)
+   alone. Each restart is checked well within one anti-entropy period,
+   before the tick that folds its journal after its catch-up. *)
 let test_daemon_reopen_compacts_long_journal () =
   let dir = cluster_dir "reopen-compact" in
-  let h = start_cluster ~seed:111 ~dir ~n:2 () in
+  let h = start_cluster ~ae_period:1.0 ~seed:111 ~dir ~n:2 () in
   let node1 = Filename.concat dir "node1" in
   let snap = Filename.concat node1 "node.snap" in
   let export () = Node.export_state (require (Harness.export h ~node:1)) in
@@ -1185,6 +1192,97 @@ let test_daemon_reopen_compacts_long_journal () =
       Alcotest.(check int) "a shorter journal is kept" 2 (records ());
       Alcotest.(check bool) "the snapshot file is untouched" true
         (inode () = id && read_file snap = snapshot))
+
+(* A daemon reopened over a journal shorter than its checkpoint binds
+   without checkpointing, catches up at once, and folds the catch-up
+   into a fresh checkpoint at the first regular tick after its catch-up
+   round: with one-second rounds, a second after the restart at the
+   earliest, while the journal holds the catch-up until then. A kill -9
+   before that tick loses nothing: the next reopen exports the same
+   state and DBVV, and then compacts. *)
+let test_daemon_reopen_compacts_after_catchup () =
+  let module Wal = Edb_persist.Wal in
+  let period = 1.0 in
+  let dir = cluster_dir "reopen-after-catchup" in
+  let h = start_cluster ~ae_period:period ~seed:112 ~dir ~n:2 () in
+  let node1 = Filename.concat dir "node1" in
+  let snap = Filename.concat node1 "node.snap" in
+  let state () =
+    let nd = require (Harness.export h ~node:1) in
+    (Node.export_state nd, Edb_vv.Version_vector.to_array (Node.dbvv_view nd))
+  in
+  let tags () =
+    let tags = ref [] in
+    let (_ : Wal.replay_result) =
+      require
+        (Wal.replay ~path:(Filename.concat node1 "node.wal") ~f:(fun data ~off ~len:_ ->
+             tags := Int64.to_int (String.get_int64_le data off) :: !tags))
+    in
+    List.rev !tags
+  in
+  let inode () = (Unix.stat snap).Unix.st_ino in
+  let down = "while node 1 is down" in
+  (* Node 0 writes [item] while node 1 is down; returns the restart
+     time. *)
+  let reopen_behind item =
+    Harness.kill h ~node:1;
+    require (Harness.update h ~node:0 ~item (set down));
+    let restarted = Unix.gettimeofday () in
+    Harness.restart h ~node:1;
+    restarted
+  in
+  (* The snapshot is a new file before the fresh journal exists, so the
+     journal is read only once the inode moved. *)
+  let await_compaction ~old ~since =
+    let rec poll () =
+      let elapsed = Unix.gettimeofday () -. since in
+      if inode () <> old && fst (require (Harness.journal h ~node:1)) = 0 then elapsed
+      else if elapsed > 20.0 then Alcotest.fail "node 1 did not compact"
+      else begin
+        Unix.sleepf 0.01;
+        poll ()
+      end
+    in
+    let elapsed = poll () in
+    Alcotest.(check bool)
+      (Printf.sprintf "compacted %.2f s after the restart (want >= %.1f s)" elapsed period)
+      true (elapsed >= period)
+  in
+  Fun.protect
+    ~finally:(fun () -> Harness.shutdown h)
+    (fun () ->
+      for i = 0 to 39 do
+        require
+          (Harness.update h ~node:1 ~item:(Printf.sprintf "k%d.1" i)
+             (set (Printf.sprintf "%0100d" i)))
+      done;
+      require (Harness.checkpoint h ~node:1);
+      require (Harness.update h ~node:1 ~item:"after.1" (set "a"));
+      let snapshot = read_file snap and id = inode () in
+      let restarted = reopen_behind "behind.0" in
+      let (_ : (string * int) list) = require (Harness.counters_of h ~node:1) in
+      Alcotest.(check bool) "the snapshot file is untouched by the first reply" true
+        (inode () = id && read_file snap = snapshot);
+      let (_ : float) = await_read h ~node:1 ~item:"behind.0" down ~since:restarted in
+      let caught_up = state () in
+      Alcotest.(check (list int)) "the journal holds the update and the catch-up" [ 0; 5 ]
+        (tags ());
+      await_compaction ~old:id ~since:restarted;
+      Alcotest.(check bool) "the compacted node exports the caught-up state" true
+        (state () = caught_up);
+      let id = inode () in
+      let (_ : float) =
+        await_read h ~node:1 ~item:"behind.1" down ~since:(reopen_behind "behind.1")
+      in
+      let before = state () in
+      Harness.kill h ~node:1;
+      Alcotest.(check bool) "killed before its compaction" true (inode () = id);
+      let restarted = Unix.gettimeofday () in
+      Harness.restart h ~node:1;
+      Alcotest.(check bool) "the same export and DBVV after the kill" true (state () = before);
+      await_compaction ~old:id ~since:restarted;
+      Alcotest.(check bool) "the same export and DBVV after the compaction" true
+        (state () = before))
 
 (* A daemon reopened over existing state pulls at once, from one peer:
    the rounds are a second apart, yet node 2 reads the whole backlog
@@ -1466,6 +1564,8 @@ let suite =
       test_daemon_catchup_journals_each_effect_once;
     Alcotest.test_case "daemons: a reopen folds a journal longer than its checkpoint" `Quick
       test_daemon_reopen_compacts_long_journal;
+    Alcotest.test_case "daemons: a reopen compacts one tick after its catch-up round" `Quick
+      test_daemon_reopen_compacts_after_catchup;
     Alcotest.test_case "daemons: a reopened node catches up at once, from one source" `Quick
       test_daemon_reopen_catches_up_from_one_source;
     Alcotest.test_case "daemons: whole-cluster reopen still converges" `Quick

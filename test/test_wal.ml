@@ -4,6 +4,7 @@ module Wal = Edb_persist.Wal
 module Codec = Edb_persist.Codec
 module Wire = Edb_persist.Wire
 module Durable = Edb_persist.Durable_node
+module Frame = Edb_persist.Frame
 module Node = Edb_core.Node
 module Operation = Edb_store.Operation
 module Vv = Edb_vv.Version_vector
@@ -360,6 +361,42 @@ let test_durable_torn_journal_recovers_prefix () =
         (Node.read (Durable.node d) "x");
       Durable.close d)
 
+(* A torn tail is cut at open, so what is appended next follows the
+   intact prefix: the reopen after that replays every record. Left in
+   place, the torn frame's length header would run over the newer
+   records — a checksum mismatch when the claim fits (the daemon
+   refuses to start), or a torn tail swallowing them when it does not. *)
+let test_durable_appends_after_torn_tail () =
+  let wal_bytes dir = In_channel.with_open_bin (Filename.concat dir "node.wal") In_channel.input_all in
+  List.iter
+    (fun (what, keep_of_last) ->
+      with_temp_dir (fun dir ->
+          let d = reopen ~dir ~id:0 ~n:2 in
+          Durable.update d "x" (set "v1");
+          Durable.close d;
+          let first = String.length (wal_bytes dir) in
+          let d = reopen ~dir ~id:0 ~n:2 in
+          Durable.update d "x" (set "v2");
+          Durable.close d;
+          let data = wal_bytes dir in
+          Out_channel.with_open_bin (Filename.concat dir "node.wal") (fun oc ->
+              output_string oc (String.sub data 0 (first + keep_of_last (String.length data - first))));
+          let d, replay = ok (Durable.open_or_create ~dir ~id:0 ~n:2 ()) in
+          Alcotest.(check bool) (what ^ ": torn tail reported") true replay.Wal.torn_tail;
+          Durable.update d "y" (set "after the tear");
+          Durable.update d "z" (set "and another");
+          Durable.close d;
+          let d, replay = ok (Durable.open_or_create ~dir ~id:0 ~n:2 ()) in
+          Alcotest.(check bool) (what ^ ": no torn tail after the appends") false replay.Wal.torn_tail;
+          Alcotest.(check int) (what ^ ": every record replayed") 3 replay.Wal.records;
+          List.iter
+            (fun (item, v) ->
+              Alcotest.(check (option string)) (what ^ ": " ^ item) (Some v)
+                (Node.read (Durable.node d) item))
+            [ ("x", "v1"); ("y", "after the tear"); ("z", "and another") ];
+          Durable.close d))
+    [ ("torn in its trailer", fun frame -> frame - 2); ("torn in its header", fun _ -> 2) ]
+
 (* ---------- Realtime push vs. durability (DESIGN.md §10) ---------- *)
 
 (* A remote origin plus one captured push-stream update for it. *)
@@ -552,6 +589,38 @@ let test_durable_elides_duplicate_reply ~shards () =
       Alcotest.(check bool) "replay reproduces the live state" true
         (Node.export_state (Durable.node d) = live);
       Durable.close d)
+
+(* A reply journaled from the body its v2 frame carried
+   ([accept_reply ~wire]) leaves the journal byte for byte as the
+   re-encoding of the decoded reply does. *)
+let test_durable_wire_body_journal ~shards () =
+  with_temp_dir @@ fun framed_dir ->
+  with_temp_dir @@ fun encoded_dir ->
+  let source = Node.create ~shards ~id:1 ~n:2 () in
+  let framed, _ = ok (Durable.open_or_create ~shards ~dir:framed_dir ~id:0 ~n:2 ()) in
+  let encoded, _ = ok (Durable.open_or_create ~shards ~dir:encoded_dir ~id:0 ~n:2 ()) in
+  List.iter
+    (fun i ->
+      Node.update source (Printf.sprintf "k%d" (i mod 3)) (set (Printf.sprintf "v%d" i));
+      Node.update source (Printf.sprintf "k%d.%d" i i) (set "new");
+      let recipient = Durable.node framed in
+      let request, req_id =
+        Frame.decode_request source ~src:0 (Frame.encode_request recipient ~dst:1)
+      in
+      let frame =
+        Frame.encode_reply source ~dst:0 ~req_id (Node.handle_propagation_request source request)
+      in
+      match Frame.decode_reply_with_body recipient ~src:1 frame with
+      | Frame.Reply (reply, _), Some (off, len) ->
+        Durable.accept_reply ~wire:(frame, off, len) framed ~source:1 reply;
+        Durable.accept_reply encoded ~source:1 reply
+      | _ -> Alcotest.fail "expected a v2 reply")
+    [ 0; 1; 2; 3 ];
+  Durable.close framed;
+  Durable.close encoded;
+  let journal dir = In_channel.with_open_bin (Durable.journal_path ~dir) In_channel.input_all in
+  Alcotest.(check (list int)) "four tag-5 records" [ 5; 5; 5; 5 ] (journal_tags framed_dir);
+  Alcotest.(check string) "the same journal bytes" (journal encoded_dir) (journal framed_dir)
 
 (* Journals written by older builds hold propagation replies as tag-1
    v1 records. A journal of the same sessions in that form must replay
@@ -815,6 +884,8 @@ let suite =
       test_durable_rejects_mismatched_identity;
     Alcotest.test_case "durable: torn journal recovers prefix" `Quick
       test_durable_torn_journal_recovers_prefix;
+    Alcotest.test_case "durable: appends after a torn tail replay" `Quick
+      test_durable_appends_after_torn_tail;
     Alcotest.test_case "durable: recover applied push" `Quick
       test_durable_recovers_applied_push;
     Alcotest.test_case "durable: crash mid-push is atomic" `Quick
@@ -827,6 +898,10 @@ let suite =
       (test_durable_elides_duplicate_reply ~shards:1);
     Alcotest.test_case "durable: duplicate reply not journaled (sharded)" `Quick
       (test_durable_elides_duplicate_reply ~shards:4);
+    Alcotest.test_case "durable: a reply body journals as its re-encoding" `Quick
+      (test_durable_wire_body_journal ~shards:1);
+    Alcotest.test_case "durable: a reply body journals as its re-encoding (sharded)" `Quick
+      (test_durable_wire_body_journal ~shards:4);
     Alcotest.test_case "durable: v1 reply journal replays" `Quick
       (test_durable_v1_reply_journal_compatible ~shards:1);
     Alcotest.test_case "durable: v1 reply journal replays (sharded)" `Quick

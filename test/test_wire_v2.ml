@@ -107,72 +107,111 @@ let test_v2_request_fixtures () =
 
 (* ---------- round-trips over real protocol messages ---------- *)
 
-(* Drive a random script on a small cluster at shard counts 1 and 4,
-   then check that every request and reply of every node pair survives
-   both codecs structurally intact. *)
-let prop_wire_roundtrip =
+(* A random script of updates, splices and pulls on a 3-node cluster
+   at shard counts 1 and 4. *)
+let scripted_cluster =
   QCheck2.Gen.(
     let action = triple (int_bound 3) (int_bound 5) (int_bound 2) in
-    QCheck2.Test.make
-      ~name:"v1 and v2 codecs round-trip live messages (shards 1 and 4)"
-      ~count:60
-      (pair (oneofl [ 1; 4 ]) (list_size (int_range 0 25) action))
-      (fun (shards, script) ->
-        let n = 3 in
-        let cluster = Cluster.create ~seed:17 ~shards ~n () in
-        List.iter
-          (fun (kind, rank, node) ->
-            let item = Printf.sprintf "i%d" rank in
-            match kind with
-            | 0 | 1 ->
-              Cluster.update cluster ~node ~item
-                (set (Printf.sprintf "v%d-%d" rank node))
-            | 2 ->
-              Cluster.update cluster ~node ~item
-                (Operation.Splice { offset = rank; data = "ZZ" })
-            | _ ->
-              ignore (Cluster.pull cluster ~recipient:node ~source:((node + 1) mod n)))
-          script;
-        let ok = ref true in
-        for r = 0 to n - 1 do
-          for s = 0 to n - 1 do
-            if r <> s then begin
-              let recipient = Cluster.node cluster r in
-              let source = Cluster.node cluster s in
-              let req = Node.propagation_request_owned recipient in
-              let reply = Node.handle_propagation_request source req in
-              (* v1 *)
-              let req1 =
-                Wire.decode_propagation_request
-                  (Codec.Reader.create
-                     (encode (fun w -> Wire.encode_propagation_request w req)))
-              in
-              let reply1 =
-                Wire.decode_propagation_reply
-                  (Codec.Reader.create
-                     (encode (fun w -> Wire.encode_propagation_reply w reply)))
-              in
-              (* v2 (absolute: no baseline) *)
-              let req2, used =
-                Wire_v2.decode_propagation_request
-                  (Codec.Reader.create
-                     (encode (fun w -> Wire_v2.encode_propagation_request w req)))
-                  ~n
-                  ~resolve:(fun _ -> None)
-              in
-              let reply2 =
-                Wire_v2.decode_propagation_reply
-                  (Codec.Reader.create
-                     (encode (fun w -> Wire_v2.encode_propagation_reply w reply)))
-                  ~n
-              in
-              ok :=
-                !ok && req1 = req && reply1 = reply && req2 = req && used = None
-                && reply2 = reply
-            end
-          done
-        done;
-        !ok))
+    pair (oneofl [ 1; 4 ]) (list_size (int_range 0 25) action))
+
+let run_script (shards, script) =
+  let n = 3 in
+  let cluster = Cluster.create ~seed:17 ~shards ~n () in
+  List.iter
+    (fun (kind, rank, node) ->
+      let item = Printf.sprintf "i%d" rank in
+      match kind with
+      | 0 | 1 -> Cluster.update cluster ~node ~item (set (Printf.sprintf "v%d-%d" rank node))
+      | 2 -> Cluster.update cluster ~node ~item (Operation.Splice { offset = rank; data = "ZZ" })
+      | _ -> ignore (Cluster.pull cluster ~recipient:node ~source:((node + 1) mod n)))
+    script;
+  cluster
+
+(* Drive a random script, then check that every request and reply of
+   every node pair survives both codecs structurally intact. *)
+let prop_wire_roundtrip =
+  QCheck2.Test.make
+    ~name:"v1 and v2 codecs round-trip live messages (shards 1 and 4)"
+    ~count:60 scripted_cluster
+    (fun input ->
+      let n = 3 in
+      let cluster = run_script input in
+      let ok = ref true in
+      for r = 0 to n - 1 do
+        for s = 0 to n - 1 do
+          if r <> s then begin
+            let recipient = Cluster.node cluster r in
+            let source = Cluster.node cluster s in
+            let req = Node.propagation_request_owned recipient in
+            let reply = Node.handle_propagation_request source req in
+            (* v1 *)
+            let req1 =
+              Wire.decode_propagation_request
+                (Codec.Reader.create
+                   (encode (fun w -> Wire.encode_propagation_request w req)))
+            in
+            let reply1 =
+              Wire.decode_propagation_reply
+                (Codec.Reader.create
+                   (encode (fun w -> Wire.encode_propagation_reply w reply)))
+            in
+            (* v2 (absolute: no baseline) *)
+            let req2, used =
+              Wire_v2.decode_propagation_request
+                (Codec.Reader.create
+                   (encode (fun w -> Wire_v2.encode_propagation_request w req)))
+                ~n
+                ~resolve:(fun _ -> None)
+            in
+            let reply2 =
+              Wire_v2.decode_propagation_reply
+                (Codec.Reader.create
+                   (encode (fun w -> Wire_v2.encode_propagation_reply w reply)))
+                ~n
+            in
+            ok :=
+              !ok && req1 = req && reply1 = reply && req2 = req && used = None
+              && reply2 = reply
+          end
+        done
+      done;
+      !ok)
+
+(* A daemon journals a v2 reply's body as the frame carried it, in
+   place of re-encoding the decoded reply: the two must be the same
+   bytes, or the WAL would depend on which path wrote it. Every reply
+   of every node pair, framed at v2, decodes to a body slice equal to
+   the encoder's body for the decoded reply. *)
+let prop_reply_body_reencodes =
+  QCheck2.Test.make ~name:"a v2 reply body is the re-encoding of its decode" ~count:60
+    scripted_cluster (fun input ->
+      let n = 3 in
+      let cluster = run_script input in
+      let body reply =
+        let blob = encode (fun w -> Wire_v2.encode_propagation_reply w reply) in
+        String.sub blob 0 (String.length blob - 4)
+      in
+      let ok = ref true in
+      for r = 0 to n - 1 do
+        for s = 0 to n - 1 do
+          if r <> s then begin
+            let recipient = Cluster.node cluster r and source = Cluster.node cluster s in
+            (* The request carries the requester's advertisement, so the
+               source answers at v2. *)
+            let req, req_id =
+              Frame.decode_request source ~src:r (Frame.encode_request recipient ~dst:s)
+            in
+            let frame =
+              Frame.encode_reply source ~dst:r ~req_id (Node.handle_propagation_request source req)
+            in
+            match Frame.decode_reply_with_body recipient ~src:s frame with
+            | Frame.Reply (reply, _), Some (off, len) ->
+              ok := !ok && String.sub frame off len = body reply
+            | _ -> ok := false
+          end
+        done
+      done;
+      !ok)
 
 (* ---------- cross-version matrix ---------- *)
 
@@ -521,6 +560,7 @@ let suite =
     Alcotest.test_case "v2 request fixtures (pinned)" `Quick
       test_v2_request_fixtures;
     QCheck_alcotest.to_alcotest prop_wire_roundtrip;
+    QCheck_alcotest.to_alcotest prop_reply_body_reencodes;
     Alcotest.test_case "cross-version matrix" `Quick test_cross_version_matrix;
     Alcotest.test_case "nak recovery after baseline loss" `Quick
       test_nak_recovery;
