@@ -3,17 +3,15 @@
    Subcommands:
      bench      print experiment tables (all, or selected by id)
      simulate   run a workload + anti-entropy simulation for any protocol
-     check      randomized invariant checking against the lockstep oracle
-     chaos      the same battery over the message-granular transport
-                (per-message faults, mid-session crashes, retry active)
-     shard      sharded-replica soak: cache equivalence + granular chaos
-                at a fixed shard count
+     soak       randomized fault schedules against the lockstep oracle, in
+                one of five modes (a row of [soak_table] each): check
+                (invariant battery), chaos (the same over the
+                message-granular transport), shard (cache equivalence +
+                chaos at a fixed shard count), push (push-on runs must
+                converge bit-identical to pull-only) and member
+                (join/leave/retire schedules)
      member     dynamic membership: narrate a join / graceful leave /
-                dead-node retirement, or soak join/leave/retire
-                schedules against the lockstep oracle
-     push       push-channel equivalence soak: every schedule run with
-                the realtime push channel on must converge bit-identical
-                to the same schedule pull-only
+                dead-node retirement
      wire       hex-dump and pretty-decode wire frames (v1 and v2), or
                 walk a sample session showing negotiation and deltas
      scenario   run a declarative scenario (built-in or from a JSON
@@ -230,224 +228,231 @@ let simulate_cmd =
     term
 
 (* ------------------------------------------------------------------ *)
-(* check                                                               *)
+(* soak                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let check_cmd =
-  let module Explorer = Edb_check.Explorer in
+module Explorer = Edb_check.Explorer
+
+(* What a soak run was asked for, after its mode's defaults. *)
+type soak_args = {
+  seed : int;
+  runs : int;
+  shards : int;
+  topology : Explorer.topology option;
+  mode : Node.propagation_mode option;
+  mutate : bool;
+}
+
+(* One row per soak mode: its defaults, the optional flags it takes, its
+   batteries (the success line, or the failing battery's shrunk
+   counterexample) and the error it then reports. *)
+type soak_row = {
+  name : string;
+  doc : string;
+  default_runs : int;
+  default_shards : int;
+  flags : string list;
+  battery : soak_args -> (string, string) result;
+  failure : string;
+}
+
+let ( let* ) = Result.bind
+
+let soak_table =
+  let explore ?mode ?granular a =
+    Explorer.run ?mode ?granular ?topology:a.topology ~mutate:a.mutate ~shards:a.shards
+      ~seed:a.seed ~runs:a.runs ()
+  in
+  [
+    {
+      name = "check";
+      doc = "the invariant and lockstep-oracle battery";
+      default_runs = 100;
+      default_shards = 1;
+      flags = [ "--topology"; "--oplog"; "--mutate" ];
+      battery =
+        (fun a ->
+          let* r = explore ?mode:a.mode a in
+          Ok
+            (Printf.sprintf "ok: %d schedules passed every invariant and oracle check"
+               r.Explorer.schedules));
+      failure = "invariant check failed (shrunk counterexample above)";
+    };
+    {
+      name = "chaos";
+      doc = "the same over the message-granular transport: per-message faults, retry on";
+      default_runs = 200;
+      default_shards = 1;
+      flags = [ "--topology"; "--mutate" ];
+      battery =
+        (fun a ->
+          let* r = explore ~granular:true a in
+          Ok
+            (Printf.sprintf
+               "ok: %d message-granular schedules passed every invariant and oracle check"
+               r.Explorer.schedules));
+      failure = "chaos check failed (shrunk counterexample above)";
+    };
+    {
+      name = "shard";
+      doc = "peer-cache equivalence, then chaos, with $(b,--shards) shards per node";
+      default_runs = 100;
+      default_shards = 4;
+      flags = [];
+      battery =
+        (fun a ->
+          (* Cache equivalence doubles as a sharding-determinism check:
+             the cached and uncached runs only compare equal if every
+             sharded session is deterministic. *)
+          let* eq = Explorer.run_equivalence ~shards:a.shards ~seed:a.seed ~runs:a.runs () in
+          let* gr = explore ~granular:true a in
+          Ok
+            (Printf.sprintf
+               "ok: shards=%d — %d cache-equivalence schedules + %d message-granular \
+                schedules passed every invariant and oracle check"
+               a.shards eq.Explorer.schedules gr.Explorer.schedules));
+      failure = "sharded soak failed (shrunk counterexample above)";
+    };
+    {
+      name = "push";
+      doc = "push-on runs converge bit-identical to pull-only, at 1 and $(b,--shards) shards";
+      default_runs = 100;
+      default_shards = 4;
+      flags = [];
+      battery =
+        (fun a ->
+          let* flat = Explorer.run_push_equivalence ~shards:1 ~seed:a.seed ~runs:a.runs () in
+          let* sharded =
+            Explorer.run_push_equivalence ~shards:a.shards ~seed:a.seed ~runs:a.runs ()
+          in
+          Ok
+            (Printf.sprintf
+               "ok: %d push-equivalence schedules at shards=1 + %d at shards=%d — push-on \
+                and pull-only runs converged bit-identical"
+               flat.Explorer.schedules sharded.Explorer.schedules a.shards));
+      failure = "push equivalence failed (shrunk counterexample above)";
+    };
+    {
+      name = "member";
+      doc = "join/leave/retire schedules under faults, against the stable-name oracle";
+      default_runs = 200;
+      default_shards = 1;
+      flags = [];
+      battery =
+        (fun a ->
+          let* r =
+            Explorer.run_membership_equivalence ~shards:a.shards ~seed:a.seed ~runs:a.runs ()
+          in
+          Ok
+            (Printf.sprintf
+               "ok: %d membership schedules (join/leave/retire under faults) converged \
+                oracle-identical with no retired component surviving"
+               r.Explorer.schedules));
+      failure = "membership soak failed (shrunk counterexample above)";
+    };
+  ]
+
+let soak_cmd =
+  let row =
+    let doc = List.map (fun r -> Printf.sprintf "$(b,%s): %s" r.name r.doc) soak_table in
+    Arg.(
+      required
+      & pos 0 (some (enum (List.map (fun r -> (r.name, r)) soak_table))) None
+      & info [] ~docv:"MODE" ~doc:(String.concat "; " doc ^ "."))
+  in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.") in
   let runs =
     Arg.(
-      value & opt int 100
-      & info [ "runs" ] ~docv:"K" ~doc:"Schedules to explore per topology.")
+      value
+      & opt (some int) None
+      & info [ "runs" ] ~docv:"K"
+          ~doc:"Schedules per battery (default 100; 200 for $(b,chaos) and $(b,member)).")
+  in
+  let shards =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "shards" ] ~docv:"K"
+          ~doc:"Per-node shard count (default 1; 4 for $(b,shard) and $(b,push)).")
   in
   let topology =
     Arg.(
-      value & opt string "all"
+      value
+      & opt (some string) None
       & info [ "topology" ] ~docv:"T"
-          ~doc:"Session topology: clique, ring, star, or all (mixed).")
+          ~doc:"$(b,check), $(b,chaos): clique, ring, star, or all (mixed, the default).")
   in
   let oplog_depth =
     Arg.(
       value
       & opt (some int) None
       & info [ "oplog" ] ~docv:"DEPTH"
-          ~doc:"Run in op-log transport mode with per-item history DEPTH.")
+          ~doc:"$(b,check): op-log transport mode with per-item history DEPTH.")
   in
   let mutate =
     Arg.(
       value & flag
       & info [ "mutate" ]
           ~doc:
-            "Inject a state corruption into every schedule; the checker is \
-             expected to FAIL (smoke test for the checker itself).")
+            "$(b,check), $(b,chaos): corrupt every schedule's state; the checker is \
+             expected to FAIL (a smoke test of the checker itself).")
   in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"K"
-          ~doc:"Per-node shard count for every schedule (default 1).")
-  in
-  let run seed runs topology oplog_depth mutate shards =
+  let run row seed runs shards topology oplog_depth mutate =
+    let given =
+      List.filter_map
+        (fun (flag, set) -> if set then Some flag else None)
+        [
+          ("--topology", topology <> None);
+          ("--oplog", oplog_depth <> None);
+          ("--mutate", mutate);
+        ]
+    in
     let topology =
-      match String.lowercase_ascii topology with
-      | "all" -> Ok None
-      | name -> (
+      match Option.map String.lowercase_ascii topology with
+      | None | Some "all" -> Ok None
+      | Some name -> (
         match Explorer.topology_of_string name with
         | Some t -> Ok (Some t)
         | None -> Error (Printf.sprintf "unknown topology %S" name))
     in
-    match topology with
-    | Error msg -> `Error (false, msg)
-    | Ok topology -> (
-      let mode =
-        Option.map (fun depth -> Node.Op_log { depth }) oplog_depth
-      in
-      match Explorer.run ?mode ?topology ~mutate ~shards ~seed ~runs () with
-      | Ok report ->
-        Printf.printf "ok: %d schedules passed every invariant and oracle check\n"
-          report.Explorer.schedules;
+    match (List.find_opt (fun flag -> not (List.mem flag row.flags)) given, topology) with
+    | Some flag, _ -> `Error (true, Printf.sprintf "soak %s takes no %s" row.name flag)
+    | None, Error msg -> `Error (false, msg)
+    | None, Ok topology -> (
+      let runs = Option.value runs ~default:row.default_runs in
+      let shards = Option.value shards ~default:row.default_shards in
+      let mode = Option.map (fun depth -> Node.Op_log { depth }) oplog_depth in
+      match row.battery { seed; runs; shards; topology; mode; mutate } with
+      | Ok line ->
+        print_endline line;
         `Ok ()
       | Error msg ->
         print_string msg;
         if not (String.length msg > 0 && msg.[String.length msg - 1] = '\n') then
           print_newline ();
-        `Error (false, "invariant check failed (shrunk counterexample above)"))
-  in
-  let term =
-    Term.(ret (const run $ seed $ runs $ topology $ oplog_depth $ mutate $ shards))
+        `Error (false, row.failure))
   in
   Cmd.v
-    (Cmd.info "check"
+    (Cmd.info "soak"
        ~doc:
-         "Explore randomized fault schedules, asserting protocol invariants and \
-          equivalence with a naive full-compare oracle.")
-    term
-
-(* ------------------------------------------------------------------ *)
-(* chaos                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let chaos_cmd =
-  let module Explorer = Edb_check.Explorer in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.") in
-  let runs =
-    Arg.(
-      value & opt int 200
-      & info [ "runs" ] ~docv:"K" ~doc:"Message-granular schedules to explore.")
-  in
-  let topology =
-    Arg.(
-      value & opt string "all"
-      & info [ "topology" ] ~docv:"T"
-          ~doc:"Session topology: clique, ring, star, or all (mixed).")
-  in
-  let mutate =
-    Arg.(
-      value & flag
-      & info [ "mutate" ]
-          ~doc:
-            "Inject a state corruption into every schedule; the checker is \
-             expected to FAIL (smoke test for the checker itself).")
-  in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"K"
-          ~doc:"Per-node shard count for every schedule (default 1).")
-  in
-  let run seed runs topology mutate shards =
-    let topology =
-      match String.lowercase_ascii topology with
-      | "all" -> Ok None
-      | name -> (
-        match Explorer.topology_of_string name with
-        | Some t -> Ok (Some t)
-        | None -> Error (Printf.sprintf "unknown topology %S" name))
-    in
-    match topology with
-    | Error msg -> `Error (false, msg)
-    | Ok topology -> (
-      match Explorer.run ~granular:true ?topology ~mutate ~shards ~seed ~runs () with
-      | Ok report ->
-        Printf.printf
-          "ok: %d message-granular schedules passed every invariant and oracle \
-           check\n"
-          report.Explorer.schedules;
-        `Ok ()
-      | Error msg ->
-        print_string msg;
-        if not (String.length msg > 0 && msg.[String.length msg - 1] = '\n') then
-          print_newline ();
-        `Error (false, "chaos check failed (shrunk counterexample above)"))
-  in
-  let term = Term.(ret (const run $ seed $ runs $ topology $ mutate $ shards)) in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Explore randomized fault schedules over the message-granular \
-          transport: per-message loss, duplication and reordering, crashes and \
-          partitions landing between a session's request and reply, \
-          timeout/retry/backoff active — all under the lockstep-oracle and \
-          invariant battery.")
-    term
-
-(* ------------------------------------------------------------------ *)
-(* shard                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let shard_cmd =
-  let module Explorer = Edb_check.Explorer in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.") in
-  let runs =
-    Arg.(
-      value & opt int 100
-      & info [ "runs" ] ~docv:"K" ~doc:"Schedules per battery.")
-  in
-  let shards =
-    Arg.(
-      value & opt int 4
-      & info [ "shards" ] ~docv:"K" ~doc:"Per-node shard count (default 4).")
-  in
-  let run seed runs shards =
-    let fail msg =
-      print_string msg;
-      if not (String.length msg > 0 && msg.[String.length msg - 1] = '\n') then
-        print_newline ();
-      `Error (false, "sharded soak failed (shrunk counterexample above)")
-    in
-    (* Cache equivalence doubles as a sharding-determinism check: the
-       cached and uncached executions only compare equal if every
-       sharded session is deterministic (parallel or not). *)
-    match Explorer.run_equivalence ~shards ~seed ~runs () with
-    | Error msg -> fail msg
-    | Ok eq -> (
-      match Explorer.run ~granular:true ~shards ~seed ~runs () with
-      | Error msg -> fail msg
-      | Ok gr ->
-        Printf.printf
-          "ok: shards=%d — %d cache-equivalence schedules + %d message-granular \
-           schedules passed every invariant and oracle check\n"
-          shards eq.Explorer.schedules gr.Explorer.schedules;
-        `Ok ())
-  in
-  Cmd.v
-    (Cmd.info "shard"
-       ~doc:
-         "Soak the sharded protocol: the peer-cache equivalence battery and the \
-          message-granular chaos battery, both with every node split into the \
-          given number of shards.")
-    Term.(ret (const run $ seed $ runs $ shards))
+         "Explore randomized fault schedules in one of five modes; a failure prints the \
+          shrunk counterexample and the seed to replay it.")
+    Term.(ret (const run $ row $ seed $ runs $ shards $ topology $ oplog_depth $ mutate))
 
 (* ------------------------------------------------------------------ *)
 (* member                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let member_cmd =
-  let module Explorer = Edb_check.Explorer in
   let module Group = Edb_membership.Group in
   let mode =
     Arg.(
       required
-      & pos 0 (some (enum [ ("join", `Join); ("leave", `Leave);
-                            ("retire", `Retire); ("soak", `Soak) ])) None
+      & pos 0 (some (enum [ ("join", `Join); ("leave", `Leave); ("retire", `Retire) ])) None
       & info [] ~docv:"MODE"
           ~doc:
             "$(b,join), $(b,leave) or $(b,retire) walk one membership \
-             operation through a small cluster, narrating the event log; \
-             $(b,soak) runs the randomized membership-equivalence battery.")
-  in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.") in
-  let runs =
-    Arg.(
-      value & opt int 200
-      & info [ "runs" ] ~docv:"K" ~doc:"Schedules for $(b,soak) (default 200).")
-  in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"K"
-          ~doc:"Per-node shard count for $(b,soak) (default 1).")
+             operation through a small cluster, narrating the event log.")
   in
   (* Shared stage: a 3-member group with one update per member applied
      everywhere, so every vector is non-trivial before the operation
@@ -496,7 +501,7 @@ let member_cmd =
     | Error msg -> Printf.printf "group invariants: FAILED — %s\n" msg);
     `Ok ()
   in
-  let run mode seed runs shards =
+  let run mode =
     match mode with
     | `Join ->
       let g = stage () in
@@ -548,19 +553,6 @@ let member_cmd =
         c.Counters.joins_completed c.Counters.retirements_completed
         c.Counters.vector_components_gced;
       finish g
-    | `Soak -> (
-      match Explorer.run_membership_equivalence ~shards ~seed ~runs () with
-      | Ok report ->
-        Printf.printf
-          "ok: %d membership schedules (join/leave/retire under faults) \
-           converged oracle-identical with no retired component surviving\n"
-          report.Explorer.schedules;
-        `Ok ()
-      | Error msg ->
-        print_string msg;
-        if not (String.length msg > 0 && msg.[String.length msg - 1] = '\n') then
-          print_newline ();
-        `Error (false, "membership soak failed (shrunk counterexample above)"))
   in
   Cmd.v
     (Cmd.info "member"
@@ -568,55 +560,9 @@ let member_cmd =
          "Dynamic membership: narrate a join (snapshot bootstrap + catch-up \
           gate), a graceful leave (drain then depart) or a dead-node \
           retirement (two-phase fence, then the origin's vector component is \
-          garbage-collected everywhere) — or soak the whole subsystem against \
-          the lockstep oracle with $(b,soak).")
-    Term.(ret (const run $ mode $ seed $ runs $ shards))
-
-(* ------------------------------------------------------------------ *)
-(* push                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let push_cmd =
-  let module Explorer = Edb_check.Explorer in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.") in
-  let runs =
-    Arg.(
-      value & opt int 100
-      & info [ "runs" ] ~docv:"K" ~doc:"Schedules per shard count.")
-  in
-  let shards =
-    Arg.(
-      value & opt int 4
-      & info [ "shards" ] ~docv:"K"
-          ~doc:"Sharded battery's per-node shard count (default 4).")
-  in
-  let run seed runs shards =
-    let fail msg =
-      print_string msg;
-      if not (String.length msg > 0 && msg.[String.length msg - 1] = '\n') then
-        print_newline ();
-      `Error (false, "push equivalence failed (shrunk counterexample above)")
-    in
-    match Explorer.run_push_equivalence ~shards:1 ~seed ~runs () with
-    | Error msg -> fail msg
-    | Ok unsharded -> (
-      match Explorer.run_push_equivalence ~shards ~seed ~runs () with
-      | Error msg -> fail msg
-      | Ok sharded ->
-        Printf.printf
-          "ok: %d push-equivalence schedules at shards=1 + %d at shards=%d — \
-           push-on and pull-only runs converged bit-identical\n"
-          unsharded.Explorer.schedules sharded.Explorer.schedules shards;
-        `Ok ())
-  in
-  Cmd.v
-    (Cmd.info "push"
-       ~doc:
-         "Soak the best-effort push channel: every message-granular fault \
-          schedule is executed push-on and pull-only under identical \
-          randomness, and the converged states must be bit-identical — \
-          anti-entropy alone carries correctness.")
-    Term.(ret (const run $ seed $ runs $ shards))
+          garbage-collected everywhere). $(b,soak member) soaks the whole \
+          subsystem.")
+    Term.(ret (const run $ mode))
 
 (* ------------------------------------------------------------------ *)
 (* wire                                                                *)
@@ -1221,7 +1167,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            bench_cmd; simulate_cmd; check_cmd; chaos_cmd; shard_cmd;
-            member_cmd; push_cmd; wire_cmd; scenario_cmd; serve_cmd;
-            cluster_cmd; demo_cmd;
+            bench_cmd; simulate_cmd; soak_cmd; member_cmd; wire_cmd;
+            scenario_cmd; serve_cmd; cluster_cmd; demo_cmd;
           ]))

@@ -41,8 +41,8 @@ let push_stream cluster channels =
         List.map
           (fun (dst, updates) ->
             let frame = Frame.encode_push node ~dst updates in
-            (* The shared charge, so the socket daemon's flush accounts
-               identically (Edb_transport.Transport.Charge). *)
+            (* Charged through Edb_transport.Transport.Charge, next to
+               the request and dial charges every transport shares. *)
             Transport.Charge.push node ~updates frame;
             (dst, Frame_msg frame))
           batches);

@@ -27,8 +27,6 @@ let node t i = t.nodes.(i)
 
 let nodes t = t.nodes
 
-let cache_enabled t = t.cache
-
 (* The cluster epoch: bias + Σ node revisions. Every state mutation
    anywhere bumps some node's revision, so equal epochs at two points in
    time prove no node state changed in between — the exactness gate for

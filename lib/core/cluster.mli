@@ -39,8 +39,6 @@ val node : t -> int -> Node.t
 
 val nodes : t -> Node.t array
 
-val cache_enabled : t -> bool
-
 val shards : t -> int
 (** The common shard count of the cluster's nodes. *)
 

@@ -203,24 +203,12 @@ let aux_count t =
   Array.iter (fun r -> total := !total + Replica.aux_count r) t.replicas;
   !total
 
-let aux_entries t =
-  let acc = ref [] in
-  Array.iter
-    (fun (r : Replica.t) ->
-      Hashtbl.iter
-        (fun name (it : Item.t) -> acc := (name, Vv.copy it.ivv) :: !acc)
-        r.aux_items)
-    t.replicas;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
-
 let aux_vv t name =
   Option.map
     (fun (i : Item.t) -> Vv.copy i.ivv)
     (Hashtbl.find_opt (replica_for t name).Replica.aux_items name)
 
 let conflicts t = t.conflicts
-
-let clear_conflicts t = t.conflicts <- []
 
 let set_update_hook t hook = t.update_hook <- hook
 

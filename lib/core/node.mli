@@ -196,16 +196,8 @@ val aux_count : t -> int
 val aux_vv : t -> string -> Edb_vv.Version_vector.t option
 (** The auxiliary copy's IVV, when one exists (a snapshot copy). *)
 
-val aux_entries : t -> (string * Edb_vv.Version_vector.t) list
-(** Every auxiliary copy as [(item, ivv snapshot)], sorted by item
-    name. Read-only inspection hook for the invariant checker
-    ([lib/check]), which cross-checks auxiliary copies against the
-    auxiliary log (§4.3–4.4). *)
-
 val conflicts : t -> Conflict.t list
 (** All conflicts declared at this node, most recent first. *)
-
-val clear_conflicts : t -> unit
 
 (** {1 User operations (§5.3)} *)
 

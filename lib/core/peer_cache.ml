@@ -131,10 +131,6 @@ let mark_current t ~peer ~epoch =
   e.current <- true;
   e.epoch <- epoch
 
-let invalidate_current t ~peer =
-  if peer < 0 || peer >= t.n then invalid_arg "Peer_cache: peer out of range";
-  match t.entries.(peer) with None -> () | Some e -> e.current <- false
-
 let is_current t ~peer ~epoch =
   if peer < 0 || peer >= t.n then invalid_arg "Peer_cache: peer out of range";
   match t.entries.(peer) with

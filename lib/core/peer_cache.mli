@@ -93,8 +93,6 @@ val mark_current : t -> peer:int -> epoch:int -> unit
 (** Record that, as of cluster [epoch], a session with [peer] would be
     answered "you are current". *)
 
-val invalidate_current : t -> peer:int -> unit
-
 val is_current : t -> peer:int -> epoch:int -> bool
 (** Whether {!mark_current} was recorded at exactly this [epoch]. Any
     intervening state change anywhere bumps the epoch and refutes

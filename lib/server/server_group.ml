@@ -3,7 +3,6 @@ module Node = Edb_core.Node
 module Counters = Edb_metrics.Counters
 module Snapshot = Edb_persist.Snapshot
 module Codec = Edb_persist.Codec
-module Frame = Edb_persist.Frame
 
 type database = { cluster : Cluster.t; mode : Node.propagation_mode option }
 
@@ -64,39 +63,6 @@ let anti_entropy_round t ~db =
 let sync_database t ~db =
   Result.map (fun c -> Cluster.sync_until_converged c) (cluster t db)
 
-(* Framed sync: the same convergence loop, but every session runs over
-   real encoded frames ({!Edb_persist.Frame}) — version negotiation,
-   DBVV deltas, and [wire_bytes_sent] charged from actual frame
-   lengths, where the unframed paths charge only the modeled
-   [bytes_sent]. Deterministic ring rounds (a quiet ring converges in
-   at most [n - 1] of them) keep the byte accounting reproducible. *)
-let wire_ring_round ~domains cluster =
-  let n = Cluster.n cluster in
-  for i = 0 to n - 1 do
-    let recipient = Cluster.node cluster i in
-    let source = Cluster.node cluster ((i + 1) mod n) in
-    let (_ : Node.pull_result) = Frame.pull ~domains ~recipient ~source () in
-    ()
-  done
-
-let sync_cluster_wire ?(max_rounds = 10_000) ~domains cluster =
-  let rec loop rounds =
-    if Cluster.converged cluster then rounds
-    else if rounds >= max_rounds then
-      failwith
-        (Printf.sprintf
-           "Server_group.sync_database_wire: not converged after %d rounds"
-           max_rounds)
-    else begin
-      wire_ring_round ~domains cluster;
-      loop (rounds + 1)
-    end
-  in
-  loop 0
-
-let sync_database_wire ?(domains = 1) t ~db =
-  Result.map (fun c -> sync_cluster_wire ~domains c) (cluster t db)
-
 (* ------------------------------------------------------------------ *)
 (* Parallel fan-out over databases                                     *)
 (* ------------------------------------------------------------------ *)
@@ -156,16 +122,6 @@ let sync_all ?(domains = 1) t =
   let per_cluster = max 1 (domains / max 1 (Array.length tasks)) in
   let sync (name, cluster) =
     match Cluster.sync_until_converged ~domains:per_cluster cluster with
-    | rounds -> (name, rounds)
-    | exception Failure _ -> (name, -1)
-  in
-  Array.to_list (parallel_map ~domains sync tasks)
-
-let sync_all_wire ?(domains = 1) t =
-  let tasks = Array.of_list (database_clusters t) in
-  let per_cluster = max 1 (domains / max 1 (Array.length tasks)) in
-  let sync (name, cluster) =
-    match sync_cluster_wire ~domains:per_cluster cluster with
     | rounds -> (name, rounds)
     | exception Failure _ -> (name, -1)
   in

@@ -67,18 +67,6 @@ val sync_all : ?domains:int -> t -> (string * int) list
     regardless of [domains]. A database that exceeds its round budget
     reports [-1]. *)
 
-val sync_database_wire : ?domains:int -> t -> db:string -> (int, string) result
-(** Like {!sync_database}, but every session runs over real encoded
-    frames ({!Edb_persist.Frame}): wire-codec version negotiation,
-    delta-encoded request DBVVs, and
-    {!Edb_metrics.Counters.t.wire_bytes_sent} charged from actual frame
-    lengths. Uses deterministic ring rounds, so the byte accounting is
-    reproducible; returns the rounds used. *)
-
-val sync_all_wire : ?domains:int -> t -> (string * int) list
-(** {!sync_database_wire} for every database, with {!sync_all}'s domain
-    fan-out and round-budget conventions ([-1] on budget exhaustion). *)
-
 val anti_entropy_all : ?domains:int -> t -> unit
 (** One {!Edb_core.Cluster.random_pull_round} on every database, with
     the same optional domain fan-out and the same determinism guarantee

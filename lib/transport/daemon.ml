@@ -9,7 +9,6 @@ module Wire = Edb_persist.Wire
 module Snapshot = Edb_persist.Snapshot
 module Vv = Edb_vv.Version_vector
 module Durable_node = Edb_persist.Durable_node
-module Channel = Edb_push.Channel
 module T = Socket_transport
 module Initiator = Transport.Initiator
 module Fault = Edb_fault.Fault
@@ -42,7 +41,6 @@ module Config = struct
     peers : (int * T.addr) list;
     ae_period : float;
     retry : Transport.retry_policy;
-    push : Channel.config option;
     seed : int;
     checkpoint_every : int;
     max_runtime : float option;
@@ -50,7 +48,7 @@ module Config = struct
   }
 
   let make ?(ae_period = 0.05) ?(retry = { Transport.default_retry_policy with timeout = 0.5 })
-      ?push ?(seed = 1) ?(checkpoint_every = 0) ?max_runtime ?(max_sessions = 4) ~id ~n
+      ?(seed = 1) ?(checkpoint_every = 0) ?max_runtime ?(max_sessions = 4) ~id ~n
       ~dir ~listen ~peers () =
     {
       id;
@@ -60,7 +58,6 @@ module Config = struct
       peers;
       ae_period;
       retry;
-      push;
       seed;
       checkpoint_every;
       max_runtime;
@@ -186,7 +183,6 @@ type t = {
   config : Config.t;
   durable : Durable_node.t;
   transport : T.t;
-  channel : Channel.t option;
   prng : Prng.t;
   started : float;
   (* Accepted connections: peers' sessions and push streams, control
@@ -203,10 +199,6 @@ type t = {
   mutable sole_source : bool;
   (* The one compaction of a reopen (see [compact_at_tick]). *)
   mutable compaction : compaction;
-  (* Persistent non-blocking push connections, one per peer dialed on
-     first flush: a slow push peer accumulates buffered frames (up to
-     the transport's cap) instead of stalling the loop. *)
-  push_conns : (int, T.conn) Hashtbl.t;
   (* Idle session connections, at most one per peer. Invariant: a
      connection is here only while no request on it is outstanding and
      nothing is buffered on it in either direction — it enters when its
@@ -215,7 +207,6 @@ type t = {
      readable event while idle (EOF, error or stray bytes). *)
   idle : (int, T.conn) Hashtbl.t;
   mutable next_ae : float;
-  mutable next_push : float;
   mutable quit : bool;
   (* Requests answered with a nak because their reply could not be
      sent. Daemon-local: not a {!Counters} field. *)
@@ -361,41 +352,6 @@ let top_up_sessions t =
     done
   end
 
-let drop_push_conn t dst conn =
-  T.close_conn conn;
-  Hashtbl.remove t.push_conns dst
-
-let push_conn t dst =
-  match Hashtbl.find_opt t.push_conns dst with
-  | Some conn -> Some conn
-  | None -> (
-    Transport.Charge.dial (counters t);
-    match T.dial t.transport ~peer:dst with
-    | Error _ -> None
-    | Ok conn ->
-      Hashtbl.replace t.push_conns dst conn;
-      Some conn)
-
-let flush_push t =
-  match t.channel with
-  | None -> ()
-  | Some channel ->
-    let nd = node t in
-    List.iter
-      (fun (dst, updates) ->
-        let frame = Frame.encode_push nd ~dst updates in
-        Transport.Charge.push nd ~updates frame;
-        (* Best effort end to end: a refused dial, a dead stream or an
-           overflowing buffer is a lost push frame, repaired by
-           anti-entropy. *)
-        match push_conn t dst with
-        | None -> ()
-        | Some conn -> (
-          match T.send conn (Transport.Record.frame frame) with
-          | Ok () -> ()
-          | Error _ -> drop_push_conn t dst conn))
-      (Channel.flush channel ~ready:(fun peer -> Frame.push_ready nd ~dst:peer))
-
 let handle_control t conn payload =
   let reply =
     match Control.decode_request payload with
@@ -485,7 +441,7 @@ let service_conn t conn ~on_record =
   | `Data -> drain_conn t conn ~on_record
 
 let create config =
-  let { Config.id; n; dir; listen; peers; push; seed; _ } = config in
+  let { Config.id; n; dir; listen; peers; seed; _ } = config in
   match Durable_node.open_or_create ~dir ~id ~n () with
   | Error _ as e -> e
   | Ok (durable, _replay) -> (
@@ -503,7 +459,6 @@ let create config =
       e
     | Ok transport ->
       let now = Unix.gettimeofday () in
-      let channel = Option.map (fun c -> Channel.create ~config:c (Durable_node.node durable)) push in
       (* Group commit: handlers journal with the batch open, one WAL
          flush per loop turn releases it (see [finalize_turn]). *)
       Durable_node.set_group_commit durable true;
@@ -522,22 +477,18 @@ let create config =
           config;
           durable;
           transport;
-          channel;
           prng = Prng.create ~seed:(seed + id);
           started = now;
           conns = [];
           sessions = Hashtbl.create 8;
           sole_source = reopened;
           compaction = (if reopened then After_catchup else No);
-          push_conns = Hashtbl.create 8;
           idle = Hashtbl.create 8;
           (* The first regular round: staggered on a fresh boot, one
              period after the sole-source round on a reopen. *)
           next_ae =
             (let stagger = if reopened then 0.0 else float_of_int id /. float_of_int n in
              now +. (config.Config.ae_period *. (1.0 +. stagger)));
-          next_push =
-            (match push with Some c -> now +. c.Channel.flush_period | None -> infinity);
           quit = false;
           refused_replies = 0;
         }
@@ -551,11 +502,11 @@ let all_sessions t = Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions []
 
 (* The turn's closing barrier, in this order: one WAL flush commits
    every record the turn's handlers journaled (group commit), and only
-   then is any buffered output released to the wire — so no reply, ack
-   or push ever reaches a peer before the batch holding its commit
-   record is durable. A write error on flush is the connection's
-   failure point: sessions funnel it through the retry machinery,
-   server and push connections are dropped. *)
+   then is any buffered output released to the wire — so no reply or
+   ack ever reaches a peer before the batch holding its commit record
+   is durable. A write error on flush is the connection's failure
+   point: sessions funnel it through the retry machinery, server
+   connections are dropped. *)
 let finalize_turn t =
   Durable_node.sync t.durable;
   t.conns <-
@@ -577,18 +528,7 @@ let finalize_turn t =
         | `Drained | `Blocked -> ()
         | `Error _ -> session_attempt_failed t s)
       | _ -> ())
-    (all_sessions t);
-  let dead_push =
-    Hashtbl.fold
-      (fun dst conn acc ->
-        if not (T.want_write conn) then acc
-        else
-          match T.flush_output conn with
-          | `Drained | `Blocked -> acc
-          | `Error _ -> (dst, conn) :: acc)
-      t.push_conns []
-  in
-  List.iter (fun (dst, conn) -> drop_push_conn t dst conn) dead_push
+    (all_sessions t)
 
 (* The catch-up round is the sole-source session plus the round its
    end triggers. The journal then holds the backlog just pulled, which
@@ -619,12 +559,6 @@ let step t =
     compact_at_tick t;
     if t.config.Config.n > 1 then top_up_sessions t
   end;
-  if now >= t.next_push then begin
-    (match t.channel with
-    | Some c -> t.next_push <- now +. (Channel.config c).Channel.flush_period
-    | None -> t.next_push <- infinity);
-    flush_push t
-  end;
   if t.config.Config.checkpoint_every > 0
      && Durable_node.journal_records t.durable >= t.config.Config.checkpoint_every
   then Durable_node.checkpoint t.durable;
@@ -636,8 +570,7 @@ let step t =
     let next_timer =
       Hashtbl.fold
         (fun _ s acc -> min acc (Initiator.due s.machine))
-        t.sessions
-        (min t.next_ae t.next_push)
+        t.sessions t.next_ae
     in
     let wait = Float.max 0.0 (Float.min 0.25 (next_timer -. now)) in
     let session_conns =
@@ -645,7 +578,6 @@ let step t =
         (fun _ s acc -> match s.sconn with Some c -> (s, c) :: acc | None -> acc)
         t.sessions []
     in
-    let push_streams = Hashtbl.fold (fun dst c acc -> (dst, c) :: acc) t.push_conns [] in
     let idle_conns = Hashtbl.fold (fun peer c acc -> (peer, c) :: acc) t.idle [] in
     let listen_fds = match T.listen_fd t.transport with Some fd -> [ fd ] | None -> [] in
     (* Idle connections stay in the read set: a peer killed while its
@@ -653,7 +585,6 @@ let step t =
     let read_fds =
       listen_fds @ List.map T.fd t.conns
       @ List.map (fun (_, c) -> T.fd c) session_conns
-      @ List.map (fun (_, c) -> T.fd c) push_streams
       @ List.map (fun (_, c) -> T.fd c) idle_conns
     in
     (* Writable interest only where output is actually pending — a
@@ -662,7 +593,6 @@ let step t =
     let write_fds =
       write_interest t.conns
       @ write_interest (List.map snd session_conns)
-      @ write_interest (List.map snd push_streams)
     in
     let readable, _, _ =
       try Unix.select read_fds write_fds [] wait
@@ -717,15 +647,6 @@ let step t =
           | `Closed -> if awaiting_reply t s then session_attempt_failed t s
         end)
       session_conns;
-    (* Push streams are write-only; a readable one is the peer closing
-       (or resetting) it. *)
-    List.iter
-      (fun (dst, conn) ->
-        if is_readable (T.fd conn) then
-          match T.read_into conn with
-          | `Eof | `Error _ -> drop_push_conn t dst conn
-          | `Data -> ())
-      push_streams;
     finalize_turn t
   end
 
@@ -751,9 +672,6 @@ let shutdown t =
   Hashtbl.reset t.idle;
   List.iter T.close_conn t.conns;
   t.conns <- [];
-  Hashtbl.iter (fun _ conn -> T.close_conn conn) t.push_conns;
-  Hashtbl.reset t.push_conns;
-  (match t.channel with Some c -> Channel.detach c | None -> ());
   T.close t.transport;
   Durable_node.close t.durable
 

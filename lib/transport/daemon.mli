@@ -4,7 +4,9 @@
 
     The daemon is both protocol sides at once, and nothing in its loop
     blocks. Passively it answers requests (reply or nak) and applies
-    pushes, journaling before applying. Actively each anti-entropy
+    pushes a peer sends, journaling before applying; it sends none
+    itself, since pull anti-entropy alone delivers every update (paper
+    Theorem 5). Actively each anti-entropy
     tick tops a table of per-peer initiator sessions up to
     [max_sessions] distinct random peers. A fresh boot staggers its
     first tick to [ae_period * (1 + id/n)], so an N-process boot does
@@ -31,9 +33,7 @@
     turn — no buffered reply is released to the wire before the batch
     holding its commit record is synced. The sync is a flush to the
     kernel, not an [fsync]: an acknowledged write survives a crash of
-    this process, not of the OS. An optional push channel flushes on
-    its own cadence over persistent per-peer streams,
-    fire-and-forget.
+    this process, not of the OS.
 
     Control clients (the {!Harness}, `edb_cli cluster`) speak
     {!Control} records over the same listening socket. *)
@@ -47,7 +47,6 @@ module Config : sig
     peers : (int * Socket_transport.addr) list;
     ae_period : float;  (** Seconds between anti-entropy rounds. *)
     retry : Transport.retry_policy;
-    push : Edb_push.Channel.config option;
     seed : int;  (** Peer choice and backoff jitter PRNG seed. *)
     checkpoint_every : int;
         (** Checkpoint when the journal reaches this many records;
@@ -64,7 +63,6 @@ module Config : sig
   val make :
     ?ae_period:float ->
     ?retry:Transport.retry_policy ->
-    ?push:Edb_push.Channel.config ->
     ?seed:int ->
     ?checkpoint_every:int ->
     ?max_runtime:float ->
@@ -77,7 +75,7 @@ module Config : sig
     unit ->
     t
   (** Defaults: 50 ms anti-entropy, the default retry policy tightened
-      to a 0.5 s per-attempt timeout, no push, no periodic checkpoint
+      to a 0.5 s per-attempt timeout, no periodic checkpoint
       (a reopen still checkpoints once after its catch-up round, and
       before it binds when its journal outgrew its checkpoint, see
       {!create}), no runtime bound, 4 concurrent sessions. *)
@@ -155,7 +153,7 @@ val refused_replies : t -> int
 
 val step : t -> unit
 (** One select-loop iteration: fire due timers (anti-entropy session,
-    session deadline or backoff, push flush, periodic or post-catch-up
+    session deadline or backoff, periodic or post-catch-up
     checkpoint), then wait briefly for readiness and service every
     readable connection. *)
 

@@ -204,6 +204,49 @@ let test_push_equivalence () =
         (Explorer.run_push_equivalence ~shards ~seed:23 ~runs:100 ()))
     [ 1; 4 ]
 
+(* ---------- the CLI's soak front end ---------- *)
+
+(* The built `edb_cli` (the test's dune stanza depends on it), run to
+   completion with stdout and stderr captured. *)
+let run_cli args =
+  let exe =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat Filename.parent_dir_name "bin/edb_cli.exe")
+  in
+  let out = Filename.temp_file "edb_cli" ".out" and err = Filename.temp_file "edb_cli" ".err" in
+  let fd path = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let out_fd = fd out and err_fd = fd err in
+  let pid =
+    Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin out_fd err_fd
+  in
+  Unix.close out_fd;
+  Unix.close err_fd;
+  let status = match Unix.waitpid [] pid with _, Unix.WEXITED c -> c | _ -> -1 in
+  let read path =
+    let s = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    s
+  in
+  (status, read out, read err)
+
+let contains affix s = Astring.String.is_infix ~affix s
+
+let test_cli_soak_mutation () =
+  let status, out, err = run_cli [ "soak"; "check"; "--mutate"; "--seed"; "42"; "--runs"; "10" ] in
+  Alcotest.(check bool) "exits non-zero" true (status <> 0);
+  Alcotest.(check bool) "prints the shrunk schedule" true
+    (contains "shrunk counterexample:" out && contains "replay with: --seed 42" out);
+  Alcotest.(check bool) "reports the failure" true
+    (contains "invariant check failed (shrunk counterexample above)" err)
+
+let test_cli_soak_refuses_flag () =
+  let status, out, err = run_cli [ "soak"; "shard"; "--topology"; "ring" ] in
+  Alcotest.(check int) "a usage error (cmdliner's code)" 124 status;
+  Alcotest.(check string) "no battery ran" "" out;
+  Alcotest.(check bool) "names the flag" true (contains "soak shard takes no --topology" err);
+  Alcotest.(check bool) "prints the usage" true (contains "Usage:" err)
+
 let suite =
   [
     Alcotest.test_case "210 schedules, 3 topologies" `Quick test_explorer_passes;
@@ -223,4 +266,8 @@ let suite =
       test_explorer_granular_deterministic;
     Alcotest.test_case "200 push-equivalence schedules, shards {1,4}" `Quick
       test_push_equivalence;
+    Alcotest.test_case "cli: soak check --mutate fails, shrunk" `Quick
+      test_cli_soak_mutation;
+    Alcotest.test_case "cli: soak refuses a flag its mode lacks" `Quick
+      test_cli_soak_refuses_flag;
   ]
