@@ -10,7 +10,6 @@ module Oracle = Edb_baselines.Oracle_push
 module Wuu = Edb_baselines.Wuu_bernstein
 module Driver = Edb_baselines.Driver
 module Engine = Edb_sim.Engine
-module Network = Edb_sim.Network
 module Frame = Edb_persist.Frame
 module Wire_v2 = Edb_persist.Wire_v2
 module Codec = Edb_persist.Codec
@@ -568,126 +567,95 @@ let e11_oplog_transport ?(quick = false) () =
   table
 
 (* ------------------------------------------------------------------ *)
-(* E12 — timeliness vs anti-entropy period (extension)                 *)
+(* Orchestrated experiments: E12, E13, E17, E20                        *)
 (* ------------------------------------------------------------------ *)
 
-(* E12 runs through the scenario orchestrator; [e12_legacy] keeps the
-   original bespoke engine loop so test_experiments.ml can pin the two
-   paths equivalent (same tables, same counters) before the legacy loop
-   retires. *)
-
-let e12_params quick =
-  let n = if quick then 6 else 16 in
-  let updates = if quick then 40 else 200 in
-  let window = 100.0 in
-  let periods = if quick then [ 1.0; 4.0 ] else [ 0.5; 1.0; 2.0; 4.0; 8.0 ] in
-  (n, updates, window, periods)
-
-let e12_table ~n ~updates ~window =
-  Table.create
-    ~title:
-      (Printf.sprintf
-         "E12: anti-entropy period vs timeliness - %d nodes, %d single-writer \
-          updates over %.0f time units; lag = time from last update to full \
-          convergence"
-         n updates window)
-    ~columns:[ "period"; "convergence lag"; "sessions"; "bytes sent"; "noop sessions" ]
-
-let e12_row table ~period ~lag ~sessions ~(total : Counters.t) =
-  Table.add_row table
-    [
-      Printf.sprintf "%.1f" period;
-      lag;
-      string_of_int sessions;
-      string_of_int total.bytes_sent;
-      string_of_int total.noop_sessions;
-    ]
-
-let e12_scenario ~n ~updates ~window ~period =
+(* What every orchestrated experiment cell shares: one shard, 64-byte
+   values, no peer cache, duplication, faults or churn, random-peer
+   anti-entropy, run until converged. Each cell overrides the rest. *)
+let orchestrated =
   {
-    Scenario.name = "e12";
-    description = "One E12 cell: timeliness vs anti-entropy period.";
-    nodes = n;
+    Scenario.name = "experiment";
+    description = "One orchestrated experiment cell.";
+    nodes = 8;
     shards = 1;
-    items = 200;
+    items = 8;
     value_size = 64;
-    zipf = 1.0;
-    single_writer = true;
+    zipf = 0.0;
+    single_writer = false;
     cache = false;
-    seeds = { Scenario.driver = 77; engine = 78; workload = 79 };
+    seeds = { Scenario.driver = 1; engine = 1; workload = 1 };
     topology = Scenario.Random;
-    period;
-    first_at = period /. 2.0;
+    period = 1.0;
+    first_at = 0.5;
     latency = 1.0;
     loss = 0.0;
     duplication = 0.0;
     transport = Scenario.Session;
     push = None;
-    arrival =
-      Scenario.Phases
-        [
-          {
-            Scenario.from_ = 0.0;
-            until = window;
-            rate = float_of_int updates /. window;
-          };
-        ];
+    arrival = Scenario.Script [];
     faults = [];
     churn = None;
-    duration = window;
-    tick = period /. 2.0;
+    duration = 0.0;
+    tick = 1.0;
     until_converged = true;
-    deadline = window +. 500.0;
+    deadline = 1_000.0;
   }
 
+(* ------------------------------------------------------------------ *)
+(* E12 — timeliness vs anti-entropy period (extension)                 *)
+(* ------------------------------------------------------------------ *)
+
 let e12_timeliness_vs_period ?(quick = false) () =
-  let n, updates, window, periods = e12_params quick in
-  let table = e12_table ~n ~updates ~window in
+  let n = if quick then 6 else 16 in
+  let updates = if quick then 40 else 200 in
+  let window = 100.0 in
+  let periods = if quick then [ 1.0; 4.0 ] else [ 0.5; 1.0; 2.0; 4.0; 8.0 ] in
+  let table =
+    Table.create
+      ~title:
+        (Printf.sprintf
+           "E12: anti-entropy period vs timeliness - %d nodes, %d single-writer \
+            updates over %.0f time units; lag = time from last update to full \
+            convergence"
+           n updates window)
+      ~columns:[ "period"; "convergence lag"; "sessions"; "bytes sent"; "noop sessions" ]
+  in
   List.iter
     (fun period ->
-      let r = Orchestrator.run (e12_scenario ~n ~updates ~window ~period) in
+      let r =
+        Orchestrator.run
+          {
+            orchestrated with
+            Scenario.name = "e12";
+            nodes = n;
+            items = 200;
+            zipf = 1.0;
+            single_writer = true;
+            seeds = { Scenario.driver = 77; engine = 78; workload = 79 };
+            period;
+            first_at = period /. 2.0;
+            arrival =
+              Scenario.Phases
+                [ { Scenario.from_ = 0.0; until = window; rate = float_of_int updates /. window } ];
+            duration = window;
+            tick = period /. 2.0;
+            deadline = window +. 500.0;
+          }
+      in
       let lag =
         match r.Orchestrator.converged_at with
         | Some t -> Printf.sprintf "%.1f" (t -. window)
         | None -> "never"
       in
-      e12_row table ~period ~lag ~sessions:r.Orchestrator.attempted
-        ~total:r.Orchestrator.totals)
-    periods;
-  table
-
-let e12_legacy ?(quick = false) () =
-  let n, updates, window, periods = e12_params quick in
-  let table = e12_table ~n ~updates ~window in
-  List.iter
-    (fun period ->
-      let _, driver = Edb_baselines.Epidemic_driver.create ~seed:77 ~n () in
-      let engine = Engine.create ~seed:78 ~driver () in
-      let selector = Workload.Selector.zipfian ~n:200 ~exponent:1.0 in
-      let steps =
-        Workload.update_stream ~seed:79 ~selector ~nodes:n ~count:updates ~value_size:64
-      in
-      List.iteri
-        (fun i (step : Workload.step) ->
-          (* Single-writer discipline keeps the run conflict-free. *)
-          let rank = Scanf.sscanf step.item "item-%d" Fun.id in
-          let at = window *. float_of_int i /. float_of_int updates in
-          Engine.schedule engine ~at
-            (Engine.User_update { node = rank mod n; item = step.item; op = step.op }))
-        steps;
-      Engine.schedule engine ~at:(period /. 2.0)
-        (Engine.Anti_entropy_round { period; policy = Engine.Random_peer });
-      Engine.run_until engine window;
-      let lag =
-        match
-          Engine.run_until_converged engine ~check_every:(period /. 2.0)
-            ~deadline:(window +. 500.0)
-        with
-        | Some t -> Printf.sprintf "%.1f" (t -. window)
-        | None -> "never"
-      in
-      e12_row table ~period ~lag ~sessions:(Engine.sessions_attempted engine)
-        ~total:(driver.Driver.total_counters ()))
+      Table.add_row table
+        [
+          Printf.sprintf "%.1f" period;
+          lag;
+          string_of_int r.Orchestrator.attempted;
+          string_of_int r.Orchestrator.totals.bytes_sent;
+          string_of_int r.Orchestrator.totals.noop_sessions;
+        ])
     periods;
   table
 
@@ -695,143 +663,71 @@ let e12_legacy ?(quick = false) () =
 (* E13 — update propagation delay distribution (extension)             *)
 (* ------------------------------------------------------------------ *)
 
-(* E13 runs through the orchestrator, whose DBVV-watermark staleness
-   sampling observes exactly the value-visibility delays the bespoke
-   loop measured (per-origin knowledge is prefix-closed, so "every DBVV
-   covers the update" = "every replica has the value"). The legacy loop
-   stays behind [~legacy:true] for the equivalence pin. *)
-
-let e13_params quick =
+(* The orchestrator samples visibility as the DBVV watermark: per-origin
+   knowledge is prefix-closed, so "every DBVV covers the update" is
+   "every replica has the value". *)
+let e13_with_totals ?(quick = false) () =
   let ns = if quick then [ 8 ] else [ 8; 16; 32 ] in
   let updates = if quick then 30 else 100 in
-  (ns, updates, 20)
-
-let e13_table ~updates ~issue_window =
-  Table.create
-    ~title:
-      (Printf.sprintf
-         "E13: rounds from update to full visibility on every replica - %d \
-          one-shot updates issued over %d random-pull rounds"
-         updates issue_window)
-    ~columns:[ "n"; "mean"; "p50"; "p90"; "max" ]
-
-let e13_row table ~n ~(delays : Edb_metrics.Histogram.t) =
-  let pct p = Printf.sprintf "%.0f" (Edb_metrics.Histogram.percentile delays p) in
-  Table.add_row table
-    [
-      string_of_int n;
-      Printf.sprintf "%.1f" (Edb_metrics.Histogram.mean delays);
-      pct 50.0;
-      pct 90.0;
-      Printf.sprintf "%.0f" (Edb_metrics.Histogram.max_value delays);
-    ]
-
-(* Distinct item per update so visibility is unambiguous. *)
-let e13_schedule ~n ~updates ~issue_window =
-  let prng = Edb_util.Prng.create ~seed:(400 + n) in
-  List.init updates (fun i ->
-      (Edb_util.Prng.int prng issue_window, i, Edb_util.Prng.int prng n))
-
-let e13_scenario ~n ~updates ~issue_window =
-  let script =
-    List.map
-      (fun (at, i, node) ->
-        { Scenario.at = float_of_int at; node; item = i; seq = 1 })
-      (e13_schedule ~n ~updates ~issue_window)
+  let issue_window = 20 in
+  let table =
+    Table.create
+      ~title:
+        (Printf.sprintf
+           "E13: rounds from update to full visibility on every replica - %d \
+            one-shot updates issued over %d random-pull rounds"
+           updates issue_window)
+      ~columns:[ "n"; "mean"; "p50"; "p90"; "max" ]
   in
-  {
-    Scenario.name = "e13";
-    description = "One E13 cell: update-to-visibility delay distribution.";
-    nodes = n;
-    shards = 1;
-    items = updates;
-    value_size = 64;
-    zipf = 0.0;
-    single_writer = false;
-    cache = false;
-    (* The engine seed reproduces the legacy cluster's peer-draw
-       sequence: both are one splitmix64 stream consumed only by peer
-       selection (reliable zero-jitter network draws nothing else). *)
-    seeds = { Scenario.driver = 300 + n; engine = 300 + n; workload = 0 };
-    topology = Scenario.Random;
-    period = 1.0;
-    first_at = 0.5;
-    latency = 0.0;
-    loss = 0.0;
-    duplication = 0.0;
-    transport = Scenario.Session;
-    push = None;
-    arrival = Scenario.Script script;
-    faults = [];
-    churn = None;
-    (* Round r of the legacy loop is the engine round at r + 0.5; tick
-       r + 1 samples right after it. Checking convergence only at ticks
-       past [issue_window - 1] reproduces the legacy loop's "never exit
-       before the issue window closes" bound exactly. *)
-    duration = float_of_int (issue_window - 1);
-    tick = 1.0;
-    until_converged = true;
-    deadline = 400.0;
-  }
+  let totals =
+    List.map
+      (fun n ->
+        (* Distinct item per update so visibility is unambiguous. *)
+        let prng = Edb_util.Prng.create ~seed:(400 + n) in
+        let script =
+          List.init updates (fun i ->
+              let node = Edb_util.Prng.int prng n in
+              let at = Edb_util.Prng.int prng issue_window in
+              { Scenario.at = float_of_int at; node; item = i; seq = 1 })
+        in
+        let r =
+          Orchestrator.run
+            {
+              orchestrated with
+              Scenario.name = "e13";
+              nodes = n;
+              items = updates;
+              seeds = { Scenario.driver = 300 + n; engine = 300 + n; workload = 0 };
+              period = 1.0;
+              first_at = 0.5;
+              latency = 0.0;
+              arrival = Scenario.Script script;
+              (* Round r is the engine round at r + 0.5 and tick r + 1
+                 samples right after it, so a delay counts the round
+                 that delivered the update. Convergence is checked only
+                 from the last issue round on, so the run never stops
+                 before every update is issued. *)
+              duration = float_of_int (issue_window - 1);
+              tick = 1.0;
+              deadline = 400.0;
+            }
+        in
+        let delays = r.Orchestrator.staleness in
+        let pct p = Printf.sprintf "%.0f" (Edb_metrics.Histogram.percentile delays p) in
+        Table.add_row table
+          [
+            string_of_int n;
+            Printf.sprintf "%.1f" (Edb_metrics.Histogram.mean delays);
+            pct 50.0;
+            pct 90.0;
+            Printf.sprintf "%.0f" (Edb_metrics.Histogram.max_value delays);
+          ];
+        r.Orchestrator.totals)
+      ns
+  in
+  (table, totals)
 
-(* Both E13 paths, also exposing the per-n cluster counter totals the
-   equivalence test compares field by field. *)
-let e13_with_totals ?(quick = false) ~legacy () =
-  let ns, updates, issue_window = e13_params quick in
-  let table = e13_table ~updates ~issue_window in
-  let totals = ref [] in
-  List.iter
-    (fun n ->
-      if legacy then begin
-        let cluster = Cluster.create ~seed:(300 + n) ~n () in
-        let delays = Edb_metrics.Histogram.create () in
-        let schedule = e13_schedule ~n ~updates ~issue_window in
-        let pending = ref [] in
-        let round = ref 0 in
-        let max_rounds = 400 in
-        while (!pending <> [] || !round < issue_window) && !round < max_rounds do
-          List.iter
-            (fun (at, i, node) ->
-              if at = !round then begin
-                let name = item i in
-                Cluster.update cluster ~node ~item:name
-                  (Operation.Set (payload ~rank:i ~seq:1));
-                pending := (name, payload ~rank:i ~seq:1, !round) :: !pending
-              end)
-            schedule;
-          Cluster.random_pull_round cluster;
-          let visible (name, value, _) =
-            let all = ref true in
-            for node = 0 to n - 1 do
-              match Cluster.read cluster ~node ~item:name with
-              | Some v when String.equal v value -> ()
-              | Some _ | None -> all := false
-            done;
-            !all
-          in
-          let done_, still = List.partition visible !pending in
-          List.iter
-            (fun (_, _, issued) ->
-              Edb_metrics.Histogram.add delays (float_of_int (!round - issued + 1)))
-            done_;
-          pending := still;
-          incr round
-        done;
-        e13_row table ~n ~delays;
-        totals := Cluster.total_counters cluster :: !totals
-      end
-      else begin
-        let r = Orchestrator.run (e13_scenario ~n ~updates ~issue_window) in
-        e13_row table ~n ~delays:r.Orchestrator.staleness;
-        totals := r.Orchestrator.totals :: !totals
-      end)
-    ns;
-  (table, List.rev !totals)
-
-let e13_propagation_delay ?(quick = false) () =
-  fst (e13_with_totals ~quick ~legacy:false ())
-
-let e13_legacy ?(quick = false) () = fst (e13_with_totals ~quick ~legacy:true ())
+let e13_propagation_delay ?quick () = fst (e13_with_totals ?quick ())
 
 (* ------------------------------------------------------------------ *)
 (* E14 — token ablation: pessimistic vs optimistic under contention    *)
@@ -970,131 +866,69 @@ let e15_peer_cache_savings ?(quick = false) () =
 (* E17 — per-message loss vs the whole-session loss model              *)
 (* ------------------------------------------------------------------ *)
 
-(* E17 runs through the orchestrator; [e17_legacy] keeps the bespoke
-   loop for the equivalence pin, like E12/E13. *)
-
-let e17_losses = [ 0.0; 0.05; 0.2 ]
-
-let e17_table ~nodes ~period =
-  Table.create
-    ~title:
-      (Printf.sprintf
-         "E17: convergence and overhead under message loss, %d nodes, \
-          random-peer anti-entropy every %.0f units — whole-session loss \
-          (the old model: a lost session just vanishes) vs per-message loss \
-          with timeout/retry/backoff (request and reply each face the \
-          loss rate; a timed-out attempt is re-sent up to %d times)"
-         nodes period Engine.default_retry_policy.Engine.max_retries)
-    ~columns:
-      [
-        "transport"; "loss"; "rounds"; "messages"; "bytes"; "timeouts"; "retries";
-        "abandoned"; "conns"; "conn retries";
-      ]
-
-let e17_row table ~transport_name ~loss ~rounds ~(totals : Counters.t) =
-  Table.add_row table
-    [
-      transport_name;
-      Printf.sprintf "%.2f" loss;
-      rounds;
-      string_of_int totals.Counters.messages;
-      string_of_int totals.Counters.bytes_sent;
-      string_of_int totals.Counters.timeouts;
-      string_of_int totals.Counters.retries;
-      string_of_int totals.Counters.sessions_abandoned;
-      string_of_int totals.Counters.connections_opened;
-      string_of_int totals.Counters.connection_retries;
-    ]
-
-let e17_scenario ~nodes ~period ~deadline ~loss ~transport =
-  {
-    Scenario.name = "e17";
-    description = "One E17 cell: convergence under per-message loss.";
-    nodes;
-    shards = 1;
-    items = 8;
-    value_size = 64;
-    zipf = 0.0;
-    single_writer = false;
-    cache = false;
-    seeds = { Scenario.driver = 17; engine = 23; workload = 0 };
-    topology = Scenario.Random;
-    period;
-    first_at = period /. 2.0;
-    latency = 1.0;
-    loss;
-    duplication = 0.0;
-    transport;
-    push = None;
-    arrival =
-      Scenario.Script
-        (List.init 8 (fun rank ->
-             { Scenario.at = 0.0; node = rank mod nodes; item = rank; seq = 1 }));
-    faults = [];
-    churn = None;
-    duration = 0.0;
-    tick = period;
-    until_converged = true;
-    deadline;
-  }
-
 let e17_message_loss ?(quick = false) () =
   let nodes = if quick then 8 else 16 in
   let period = 5.0 in
-  let deadline = 3_000.0 in
-  let table = e17_table ~nodes ~period in
+  let table =
+    Table.create
+      ~title:
+        (Printf.sprintf
+           "E17: convergence and overhead under message loss, %d nodes, \
+            random-peer anti-entropy every %.0f units — whole-session loss \
+            (the old model: a lost session just vanishes) vs per-message loss \
+            with timeout/retry/backoff (request and reply each face the \
+            loss rate; a timed-out attempt is re-sent up to %d times)"
+           nodes period Engine.default_retry_policy.Engine.max_retries)
+      ~columns:
+        [
+          "transport"; "loss"; "rounds"; "messages"; "bytes"; "timeouts"; "retries";
+          "abandoned"; "conns"; "conn retries";
+        ]
+  in
   let run ~transport_name ~transport ~loss =
-    let r = Orchestrator.run (e17_scenario ~nodes ~period ~deadline ~loss ~transport) in
-    let rounds =
-      match r.Orchestrator.converged_at with
-      | Some at -> Printf.sprintf "%.0f" (at /. period)
-      | None -> "-"
+    let r =
+      Orchestrator.run
+        {
+          orchestrated with
+          Scenario.name = "e17";
+          nodes;
+          items = 8;
+          seeds = { Scenario.driver = 17; engine = 23; workload = 0 };
+          period;
+          first_at = period /. 2.0;
+          loss;
+          transport;
+          arrival =
+            Scenario.Script
+              (List.init 8 (fun rank ->
+                   { Scenario.at = 0.0; node = rank mod nodes; item = rank; seq = 1 }));
+          tick = period;
+          deadline = 3_000.0;
+        }
     in
-    e17_row table ~transport_name ~loss ~rounds ~totals:r.Orchestrator.totals
+    let totals = r.Orchestrator.totals in
+    Table.add_row table
+      [
+        transport_name;
+        Printf.sprintf "%.2f" loss;
+        (match r.Orchestrator.converged_at with
+        | Some at -> Printf.sprintf "%.0f" (at /. period)
+        | None -> "-");
+        string_of_int totals.Counters.messages;
+        string_of_int totals.Counters.bytes_sent;
+        string_of_int totals.Counters.timeouts;
+        string_of_int totals.Counters.retries;
+        string_of_int totals.Counters.sessions_abandoned;
+        string_of_int totals.Counters.connections_opened;
+        string_of_int totals.Counters.connection_retries;
+      ]
   in
   List.iter
     (fun loss ->
       run ~transport_name:"session" ~transport:Scenario.Session ~loss;
       run ~transport_name:"message" ~transport:(Scenario.Message Scenario.default_retry)
         ~loss)
-    e17_losses;
-  table
-
-let e17_legacy ?(quick = false) () =
-  let nodes = if quick then 8 else 16 in
-  let period = 5.0 in
-  let deadline = 3_000.0 in
-  let table = e17_table ~nodes ~period in
-  let run ~transport_name ~transport ~loss =
-    let cluster, driver = Edb_baselines.Epidemic_driver.create ~seed:17 ~n:nodes () in
-    let network = Network.create ~loss_probability:loss () in
-    let engine = Engine.create ~seed:23 ~network ~transport ~driver () in
-    for rank = 0 to 7 do
-      Engine.schedule engine ~at:0.0
-        (Engine.User_update
-           {
-             node = rank mod nodes;
-             item = item rank;
-             op = Operation.Set (payload ~rank ~seq:1);
-           })
-    done;
-    Engine.schedule engine ~at:(period /. 2.0)
-      (Engine.Anti_entropy_round { period; policy = Engine.Random_peer });
-    let rounds =
-      match Engine.run_until_converged engine ~check_every:period ~deadline with
-      | Some at -> Printf.sprintf "%.0f" (at /. period)
-      | None -> "-"
-    in
-    ignore cluster;
-    e17_row table ~transport_name ~loss ~rounds ~totals:(driver.Driver.total_counters ())
-  in
-  List.iter
-    (fun loss ->
-      run ~transport_name:"session" ~transport:Engine.Session_grain ~loss;
-      run ~transport_name:"message"
-        ~transport:(Engine.Message_grain Engine.default_retry_policy)
-        ~loss)
-    e17_losses;
+    [ 0.0; 0.05; 0.2 ];
   table
 
 (* ------------------------------------------------------------------ *)
@@ -1306,22 +1140,16 @@ let e20_warmup = 240.0
 
 let e20_scenario ~loss ~capacity ~push =
   {
+    orchestrated with
     Scenario.name = "e20";
-    description = "One E20 cell: realtime push vs pull-only anti-entropy.";
     nodes = 16;
-    shards = 1;
     items = 64;
-    value_size = 64;
     zipf = 1.0;
     single_writer = true;
-    cache = false;
     seeds = { Scenario.driver = 91; engine = 92; workload = 93 };
-    topology = Scenario.Random;
     period = 4.0;
     first_at = 1.0;
-    latency = 1.0;
     loss;
-    duplication = 0.0;
     transport = Scenario.Message Scenario.default_retry;
     push =
       (if push then
@@ -1339,11 +1167,8 @@ let e20_scenario ~loss ~capacity ~push =
          every round. *)
       Scenario.Phases
         [ { Scenario.from_ = e20_warmup; until = e20_warmup +. 240.0; rate = 0.15 } ];
-    faults = [];
-    churn = None;
     duration = e20_warmup +. 240.0;
     tick = 0.5;
-    until_converged = true;
     deadline = 900.0;
   }
 

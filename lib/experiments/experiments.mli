@@ -77,27 +77,10 @@ val e13_propagation_delay : ?quick:bool -> unit -> Edb_metrics.Table.t
     the delay tail the epidemic literature (Demers et al. [4]) reports
     alongside traffic. *)
 
-(** {2 Legacy experiment loops}
-
-    E12, E13 and E17 now run through the scenario orchestrator
-    ([Edb_scenario.Orchestrator]). The original bespoke loops are kept
-    here so [test_experiments.ml] can pin the two paths equivalent —
-    identical tables (and, for E13, identical cluster counter totals)
-    — before the legacy code retires. *)
-
-val e12_legacy : ?quick:bool -> unit -> Edb_metrics.Table.t
-
-val e13_legacy : ?quick:bool -> unit -> Edb_metrics.Table.t
-
 val e13_with_totals :
-  ?quick:bool ->
-  legacy:bool ->
-  unit ->
-  Edb_metrics.Table.t * Edb_metrics.Counters.t list
-(** The E13 table plus the per-[n] cluster counter totals, from either
-    path — what the equivalence test compares field by field. *)
-
-val e17_legacy : ?quick:bool -> unit -> Edb_metrics.Table.t
+  ?quick:bool -> unit -> Edb_metrics.Table.t * Edb_metrics.Counters.t list
+(** {!e13_propagation_delay}'s table plus each [n]'s cluster counter
+    totals, in sweep order. *)
 
 val e14_token_ablation : ?quick:bool -> unit -> Edb_metrics.Table.t
 (** E14 (extension) — the paper §2's two consistency regimes under a

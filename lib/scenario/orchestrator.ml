@@ -54,9 +54,10 @@ type result = {
 (* ------------------------------------------------------------------ *)
 
 (* Compile the arrival plan into [(at, node, item, op)] in issue order.
-   Phase timing is [from + span * i / count] — the same float
-   expression the bespoke experiment loops used, so the ported E12
-   reproduces its legacy schedule bit-for-bit. *)
+   Phase timing is [from + span * i / count], evaluated in exactly that
+   order: E12's table, pinned in test_experiments.ml, depends on every
+   issue time bit for bit, and a regrouped expression rounds some of
+   them differently. *)
 let compile_arrival (sc : Scenario.t) =
   match sc.arrival with
   | Script steps ->
