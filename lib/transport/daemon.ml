@@ -352,7 +352,13 @@ let top_up_sessions t =
     done
   end
 
+(* A control reply that cannot be sent — an [Export] snapshot over
+   [Frame.max_stream_record], or one past the connection's output cap —
+   is answered with [Failed] and the reason, so the client learns it at
+   once instead of at its control timeout. The
+   ["daemon.control.refused"] failpoint forces this branch. *)
 let handle_control t conn payload =
+  let send reply = T.send conn (Transport.Record.control (Control.encode_reply reply)) in
   let reply =
     match Control.decode_request payload with
     | exception Codec.Reader.Corrupt msg -> Control.Failed ("bad control request: " ^ msg)
@@ -372,10 +378,15 @@ let handle_control t conn payload =
       t.quit <- true;
       Control.Ack
   in
-  let (_ : (unit, string) result) =
-    T.send conn (Transport.Record.control (Control.encode_reply reply))
+  let sent =
+    if Fault.active "daemon.control.refused" then Error "refused by failpoint"
+    else send reply
   in
-  ()
+  match sent with
+  | Ok () -> ()
+  | Error reason ->
+    let (_ : (unit, string) result) = send (Control.Failed ("reply not sent: " ^ reason)) in
+    ()
 
 (* Only requests get a reply. One that cannot be sent — over
    [Frame.max_stream_record], or past the connection's output cap — must

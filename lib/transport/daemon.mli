@@ -88,7 +88,11 @@ module Control : sig
     | Ping
     | Update of { item : string; op : Edb_store.Operation.t }
     | Read of { item : string }
-    | Export  (** Answered with a {!Edb_persist.Snapshot} blob. *)
+    | Export
+        (** Answered with a {!Edb_persist.Snapshot} blob. A blob over
+            {!Edb_persist.Frame.max_stream_record} (64 MiB) cannot be
+            sent as one record and is answered with [Failed] instead,
+            as is any reply the connection refuses. *)
     | Counters_req
     | Checkpoint
     | Quit  (** Acknowledged, then the daemon shuts down cleanly. *)

@@ -653,11 +653,11 @@ let test_socket_send_oversized () =
 let daemon_sock dir id =
   Socket_transport.Unix_path (Filename.concat dir (Printf.sprintf "d%d.sock" id))
 
-let create_daemon ?(ae_period = 0.002) ?retry ~dir ~id ~n peers =
+let create_daemon ?(ae_period = 0.002) ?retry ?checkpoint_every ~dir ~id ~n peers =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   require
     (Daemon.create
-       (Daemon.Config.make ~ae_period ?retry ~id ~n
+       (Daemon.Config.make ~ae_period ?retry ?checkpoint_every ~id ~n
           ~dir:(Filename.concat dir (Printf.sprintf "node%d" id))
           ~listen:(daemon_sock dir id) ~peers ()))
 
@@ -852,6 +852,37 @@ let test_daemon_trickling_peer_completes () =
       Alcotest.(check int) "completed on the first attempt" 0 c.Counters.timeouts;
       Alcotest.(check int) "one dial" 1 c.Counters.connections_opened)
 
+(* One record to an in-process daemon over a client connection,
+   stepping the daemon until the answer arrives. *)
+let daemon_exchange d conn record =
+  require (Socket_transport.send conn record);
+  flush_all conn;
+  let stop = Unix.gettimeofday () +. 5.0 in
+  let rec loop () =
+    match Socket_transport.next_record conn with
+    | Some reply -> reply
+    | None ->
+      if Unix.gettimeofday () > stop then Alcotest.fail "no answer within 5 s";
+      Daemon.step d;
+      (match Unix.select [ Socket_transport.fd conn ] [] [] 0.0 with
+      | [], _, _ -> ()
+      | _ -> (
+        match Socket_transport.read_into conn with
+        | `Data -> ()
+        | `Eof -> Alcotest.fail "the daemon closed the connection"
+        | `Error e -> Alcotest.fail ("read: " ^ e)));
+      loop ()
+  in
+  loop ()
+
+let daemon_control d conn request =
+  match
+    Transport.Record.classify
+      (daemon_exchange d conn (Transport.Record.control (Daemon.Control.encode_request request)))
+  with
+  | Ok (Transport.Record.Control payload) -> Daemon.Control.decode_reply payload
+  | _ -> Alcotest.fail "expected a control reply"
+
 (* A request whose reply cannot be sent (forced by the
    "daemon.reply.refused" failpoint, which stands in for a reply over
    the stream record limit) gets a nak and is counted; the daemon stays
@@ -868,35 +899,8 @@ let test_daemon_refused_reply_naks () =
       Socket_transport.close client)
     (fun () ->
       let conn = require (Socket_transport.dial client ~peer:0) in
-      let exchange record =
-        require (Socket_transport.send conn record);
-        flush_all conn;
-        let stop = Unix.gettimeofday () +. 5.0 in
-        let rec loop () =
-          match Socket_transport.next_record conn with
-          | Some reply -> reply
-          | None ->
-            if Unix.gettimeofday () > stop then Alcotest.fail "no answer within 5 s";
-            Daemon.step d;
-            (match Unix.select [ Socket_transport.fd conn ] [] [] 0.0 with
-            | [], _, _ -> ()
-            | _ -> (
-              match Socket_transport.read_into conn with
-              | `Data -> ()
-              | `Eof -> Alcotest.fail "the daemon closed the connection"
-              | `Error e -> Alcotest.fail ("read: " ^ e)));
-            loop ()
-        in
-        loop ()
-      in
-      let control request =
-        match
-          Transport.Record.classify
-            (exchange (Transport.Record.control (Daemon.Control.encode_request request)))
-        with
-        | Ok (Transport.Record.Control payload) -> Daemon.Control.decode_reply payload
-        | _ -> Alcotest.fail "expected a control reply"
-      in
+      let exchange = daemon_exchange d conn in
+      let control = daemon_control d conn in
       let requester = Node.create ~id:1 ~n:2 () in
       let pull () =
         match
@@ -920,6 +924,80 @@ let test_daemon_refused_reply_naks () =
         Alcotest.(check string) "the update ships" "x" item.Message.name
       | _ -> Alcotest.fail "expected a reply shipping x");
       Alcotest.(check int) "nothing more refused" 1 (Daemon.refused_replies d))
+
+(* A control reply that cannot be sent (forced by the
+   "daemon.control.refused" failpoint, which stands in for an Export
+   snapshot over the stream record limit) is answered with Failed and
+   its reason at once, well inside a client's control timeout; once the
+   failpoint is gone the daemon answers normally again. *)
+let test_daemon_refused_control_fails () =
+  let dir = cluster_dir "control-refused" in
+  let d = create_daemon ~dir ~id:0 ~n:1 [] in
+  let client =
+    require (Socket_transport.create ~id:1 ~peers:[ (0, daemon_sock dir 0) ] ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.shutdown d;
+      Socket_transport.close client)
+    (fun () ->
+      let control = daemon_control d (require (Socket_transport.dial client ~peer:0)) in
+      Alcotest.(check bool) "update acked" true
+        (control (Daemon.Control.Update { item = "x"; op = set "v" }) = Daemon.Control.Ack);
+      Edb_fault.Fault.with_point "daemon.control.refused" (fun () ->
+          let asked = Unix.gettimeofday () in
+          (match control Daemon.Control.Export with
+          | Daemon.Control.Failed reason ->
+            Alcotest.(check bool) ("the reason is given: " ^ reason) true
+              (Astring.String.is_infix ~affix:"refused by failpoint" reason)
+          | _ -> Alcotest.fail "an unsendable Export was not answered with Failed");
+          Alcotest.(check bool) "answered at once" true (Unix.gettimeofday () -. asked < 1.0));
+      Alcotest.(check bool) "Ping unaffected once the failpoint is gone" true
+        (control Daemon.Control.Ping = Daemon.Control.Ack);
+      match control Daemon.Control.Export with
+      | Daemon.Control.State blob ->
+        let restored = require (Edb_persist.Snapshot.decode blob) in
+        Alcotest.(check (option string)) "the export holds the update" (Some "v")
+          (Node.read restored "x")
+      | _ -> Alcotest.fail "expected the exported state")
+
+(* [checkpoint_every = K]: the turn after the K-th journaled update
+   folds the journal into node.snap, so after K + 2 acked updates the
+   journal holds only the last two. [0] turns the rule off: no
+   snapshot, and every update stays in the journal. Either way a reopen
+   recovers every acked value. *)
+let test_daemon_checkpoint_every ~checkpoint_every ~snapshot ~journal () =
+  let dir = cluster_dir (Printf.sprintf "checkpoint-every-%d" checkpoint_every) in
+  let node_dir = Filename.concat dir "node0" in
+  let items = List.init 7 (fun i -> (Printf.sprintf "i%d" i, Printf.sprintf "v%d" i)) in
+  let d = create_daemon ~checkpoint_every ~dir ~id:0 ~n:1 [] in
+  let client =
+    require (Socket_transport.create ~id:1 ~peers:[ (0, daemon_sock dir 0) ] ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.shutdown d;
+      Socket_transport.close client)
+    (fun () ->
+      let control = daemon_control d (require (Socket_transport.dial client ~peer:0)) in
+      List.iter
+        (fun (item, value) ->
+          Alcotest.(check bool) (item ^ " acked") true
+            (control (Daemon.Control.Update { item; op = set value }) = Daemon.Control.Ack))
+        items);
+  Alcotest.(check bool) "node.snap written" snapshot
+    (Sys.file_exists (Filename.concat node_dir "node.snap"));
+  let module Durable = Edb_persist.Durable_node in
+  let durable, replay = require (Durable.open_or_create ~dir:node_dir ~id:0 ~n:1 ()) in
+  Fun.protect
+    ~finally:(fun () -> Durable.close durable)
+    (fun () ->
+      Alcotest.(check int) "journal records" journal replay.Edb_persist.Wal.records;
+      List.iter
+        (fun (item, value) ->
+          Alcotest.(check (option string)) (item ^ " recovered") (Some value)
+            (Node.read (Durable.node durable) item))
+        items)
 
 (* ---------- multi-process daemons ---------- *)
 
@@ -1544,6 +1622,12 @@ let suite =
       test_socket_send_oversized;
     Alcotest.test_case "daemons: a reply that cannot be sent is naked" `Quick
       test_daemon_refused_reply_naks;
+    Alcotest.test_case "daemons: a control reply that cannot be sent fails" `Quick
+      test_daemon_refused_control_fails;
+    Alcotest.test_case "daemons: checkpoint_every 5 folds the journal" `Quick
+      (test_daemon_checkpoint_every ~checkpoint_every:5 ~snapshot:true ~journal:2);
+    Alcotest.test_case "daemons: checkpoint_every 0 never checkpoints" `Quick
+      (test_daemon_checkpoint_every ~checkpoint_every:0 ~snapshot:false ~journal:7);
     Alcotest.test_case "daemons: quiet pair reuses its session connections" `Quick
       test_daemon_quiet_pair_reuses_connections;
     Alcotest.test_case "daemons: quiet sessions allocate nothing major" `Quick
