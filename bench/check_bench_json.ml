@@ -58,13 +58,12 @@ let check_micro path doc =
       "e24 snapshot save per item"; "e24 snapshot load per item";
     ];
   (* The daemon-path instances (E22): every fan-out present with a
-     finite positive rate, and the concurrent loop must not lose to the
-     single-session one — sessions/sec at fan-out=4 at least the
+     finite positive rate, and four-peer rounds must not lose to
+     one-peer rounds — sessions/sec at fan-out=4 at least the
      fan-out=1 rate (lower ns_per_op). The committed trajectory shows
      ~4x; >= 1x is the regression floor here so a bench_smoke.json
-     generated on a loaded box doesn't flake tier-1, while a
-     multi-session loop that got slower than the old serial one still
-     fails. *)
+     generated on a loaded box doesn't flake tier-1, while four-peer
+     rounds that got slower than one-peer rounds still fail. *)
   let daemon_ns metric fanout =
     let name = Printf.sprintf "edb e22 daemon %s fan-out=%d" metric fanout in
     match List.assoc_opt name benchmarks with

@@ -541,7 +541,7 @@ let run_micro_benchmarks ~shards () =
 (* Unlike the in-process micro-benchmarks above, these instances time  *)
 (* the real `edb_cli serve` engine: N daemon processes over Unix-domain*)
 (* sockets, non-blocking writes, WAL group commit. Two rates per       *)
-(* anti-entropy fan-out (max_sessions = 1 / 4 / 8):                    *)
+(* anti-entropy fan-out (max_sessions = 1 / 4 / 8 peers per round):    *)
 (*                                                                     *)
 (*   sessions   — completed initiator sessions (real + no-op) per      *)
 (*                second cluster-wide, from source-side counter deltas *)
@@ -550,9 +550,9 @@ let run_micro_benchmarks ~shards () =
 (*                spread round-robin, each visible on the n-1 other    *)
 (*                nodes once `await_converged` returns.                *)
 (*                                                                     *)
-(* fan-out=1 restores the old one-session-at-a-time loop, so the pair  *)
-(* is the before/after for the concurrent event loop. Wall-clock       *)
-(* rates from a 9-process cluster on a shared box, so no OLS fit:      *)
+(* fan-out=1 pulls one peer per round, so the pair shows what chaining *)
+(* a round's later peers adds. Wall-clock rates from a 9-process       *)
+(* cluster on a shared box, so no OLS fit:                             *)
 (* ns_per_op = 1e9 / rate, r² and minor words are n/a.                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -895,7 +895,9 @@ let () =
   in
   print_endline "=== Experiment tables (deterministic operation counts) ===";
   print_newline ();
-  let experiments = Edb_experiments.Experiments.all ~quick () in
+  let experiments =
+    List.map (fun (id, build) -> (id, build ())) (Edb_experiments.Experiments.all ~quick ())
+  in
   List.iter
     (fun (id, table) ->
       Printf.printf "[%s]\n" id;

@@ -47,17 +47,20 @@ let bench_cmd =
   in
   let run quick ids =
     let wanted = List.map String.uppercase_ascii ids in
-    let tables = Edb_experiments.Experiments.all ~quick () in
+    let experiments = Edb_experiments.Experiments.all ~quick () in
     let selected =
-      if wanted = [] then tables
-      else List.filter (fun (id, _) -> List.mem id wanted) tables
+      if wanted = [] then experiments
+      else List.filter (fun (id, _) -> List.mem id wanted) experiments
     in
-    if selected = [] then `Error (false, "no such experiment; ids are E1..E14")
+    if selected = [] then
+      `Error
+        ( false,
+          "no such experiment; ids are " ^ String.concat " " (List.map fst experiments) )
     else begin
       List.iter
-        (fun (id, table) ->
+        (fun (id, build) ->
           Printf.printf "[%s]\n" id;
-          Edb_metrics.Table.print table)
+          Edb_metrics.Table.print (build ()))
         selected;
       `Ok ()
     end
@@ -887,8 +890,9 @@ let serve_cmd =
       value & opt int 4
       & info [ "max-sessions" ] ~docv:"K"
           ~doc:
-            "Concurrent anti-entropy sessions kept in flight (clamped to \
-             n-1 peers). 1 restores the old one-session-at-a-time loop.")
+            "Peers each anti-entropy round pulls, one after another, each \
+             request carrying the DBVV the previous reply advanced (clamped \
+             to n-1 peers).")
   in
   let parse_peer s =
     match String.index_opt s '=' with
@@ -995,8 +999,8 @@ let cluster_cmd =
       value & opt int 4
       & info [ "max-sessions" ] ~docv:"K"
           ~doc:
-            "Concurrent anti-entropy sessions per daemon (clamped to n-1 \
-             peers).")
+            "Peers each daemon's anti-entropy round pulls, one after \
+             another (clamped to n-1 peers).")
   in
   let run n kind dir updates kill no_kill seed deadline max_sessions =
     if n < 2 then `Error (true, "--n must be at least 2")

@@ -1381,24 +1381,24 @@ let e21_membership_gc ?(quick = false) () =
 
 let all ?(quick = false) () =
   [
-    ("E1", e1_cost_vs_database_size ~quick ());
-    ("E2", e2_cost_vs_items_copied ~quick ());
-    ("E3", e3_identical_replicas ~quick ());
-    ("E4", e4_message_bytes ~quick ());
-    ("E5", e5_out_of_bound ~quick ());
-    ("E6", e6_failure_resilience ~quick ());
-    ("E7", e7_convergence_rounds ~quick ());
-    ("E8", e8_log_dedup ~quick ());
-    ("E9", e9_conflict_detection ~quick ());
-    ("E10", e10_log_based_gossip ~quick ());
-    ("E11", e11_oplog_transport ~quick ());
-    ("E12", e12_timeliness_vs_period ~quick ());
-    ("E13", e13_propagation_delay ~quick ());
-    ("E14", e14_token_ablation ~quick ());
-    ("E15", e15_peer_cache_savings ~quick ());
-    ("E17", e17_message_loss ~quick ());
-    ("E18", e18_sharded_replicas ~quick ());
-    ("E19", e19_wire_codec ~quick ());
-    ("E20", e20_push_vs_pull ~quick ());
-    ("E21", e21_membership_gc ~quick ());
+    ("E1", fun () -> e1_cost_vs_database_size ~quick ());
+    ("E2", fun () -> e2_cost_vs_items_copied ~quick ());
+    ("E3", fun () -> e3_identical_replicas ~quick ());
+    ("E4", fun () -> e4_message_bytes ~quick ());
+    ("E5", fun () -> e5_out_of_bound ~quick ());
+    ("E6", fun () -> e6_failure_resilience ~quick ());
+    ("E7", fun () -> e7_convergence_rounds ~quick ());
+    ("E8", fun () -> e8_log_dedup ~quick ());
+    ("E9", fun () -> e9_conflict_detection ~quick ());
+    ("E10", fun () -> e10_log_based_gossip ~quick ());
+    ("E11", fun () -> e11_oplog_transport ~quick ());
+    ("E12", fun () -> e12_timeliness_vs_period ~quick ());
+    ("E13", fun () -> e13_propagation_delay ~quick ());
+    ("E14", fun () -> e14_token_ablation ~quick ());
+    ("E15", fun () -> e15_peer_cache_savings ~quick ());
+    ("E17", fun () -> e17_message_loss ~quick ());
+    ("E18", fun () -> e18_sharded_replicas ~quick ());
+    ("E19", fun () -> e19_wire_codec ~quick ());
+    ("E20", fun () -> e20_push_vs_pull ~quick ());
+    ("E21", fun () -> e21_membership_gc ~quick ());
   ]

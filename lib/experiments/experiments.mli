@@ -144,5 +144,6 @@ val e21_membership_gc : ?quick:bool -> unit -> Edb_metrics.Table.t
     three shrink proportionally once the dead components are dropped
     ([vector_components_gced] counts the drops). *)
 
-val all : ?quick:bool -> unit -> (string * Edb_metrics.Table.t) list
-(** Every experiment, as [(id, table)] pairs in order. *)
+val all : ?quick:bool -> unit -> (string * (unit -> Edb_metrics.Table.t)) list
+(** Every experiment, as [(id, build)] pairs in order; [build ()] runs
+    that experiment alone. *)

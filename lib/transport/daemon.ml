@@ -17,8 +17,8 @@ module Fault = Edb_fault.Fault
    served over a {!Socket_transport} select loop. The daemon is both
    sides of the protocol at once — it answers inbound requests and
    pushes, and runs its own anti-entropy timer as the initiator — and
-   nothing in the loop may block: up to [max_sessions] initiator
-   sessions are in flight at once (a table of per-peer
+   nothing in the loop may block: each anti-entropy round pulls from up
+   to [max_sessions] peers one after another (a table of per-peer
    {!Transport.Initiator} machines, each just another fd in the select
    set with its reply deadline and backoff handled as timers), a
    session that completes parks its connection in a per-peer idle
@@ -167,17 +167,11 @@ module Control = struct
     reply
 end
 
-(* An initiator-side session, one per peer, at most [max_sessions] at a
-   time: the shared machine, plus the connection its in-flight attempt
-   awaits the reply on. Invariant: [sconn] is [Some] only while the
-   machine is [In_flight]. *)
+(* An initiator-side session, one per peer: the shared machine, plus
+   the connection its in-flight attempt awaits the reply on.
+   Invariant: [sconn] is [Some] only while the machine is
+   [In_flight]. *)
 type session = { s_peer : int; machine : Initiator.t; mutable sconn : T.conn option }
-
-(* A reopened daemon folds its journal once, after catching up:
-   [After_catchup] until the round that follows the sole-source
-   session, [Next_tick] from then until a regular tick finds no
-   session in flight. *)
-type compaction = No | After_catchup | Next_tick
 
 type t = {
   config : Config.t;
@@ -189,16 +183,17 @@ type t = {
      clients. Non-blocking; a freshly accepted one is anonymous
      ([T.peer conn = -1]) until its handshake arrives via read. *)
   mutable conns : T.conn list;
-  (* In-flight initiator sessions, keyed by peer — the single
-     [mutable session : session option] this table replaced is the
-     [max_sessions = 1] special case. *)
+  (* Initiator sessions in flight or in backoff, keyed by peer: the
+     current round's link and any earlier round's that has not ended. *)
   sessions : (int, session) Hashtbl.t;
-  (* Set while the first round of a daemon reopened over existing
-     state is pulling from a single peer (see [create]): rounds top up
-     to one session until that session ends. *)
-  mutable sole_source : bool;
-  (* The one compaction of a reopen (see [compact_at_tick]). *)
-  mutable compaction : compaction;
+  (* The current round (see [start_round]): the session whose end
+     starts the next peer's, and the peers still to pull after it.
+     Invariant: no queued peer has a session, and [queued] is
+     non-empty only while [link] is in flight. *)
+  mutable link : session option;
+  mutable queued : int list;
+  (* Set on a reopen until its one compaction (see [compact_at_tick]). *)
+  mutable compact_pending : bool;
   (* Idle session connections, at most one per peer. Invariant: a
      connection is here only while no request on it is outstanding and
      nothing is buffered on it in either direction — it enters when its
@@ -245,23 +240,21 @@ let jitter t () = Prng.float t.prng 1.0
 
 (* Carry out the machine's action. Whatever it decided, an attempt that
    is no longer in flight gives up its connection first — except on
-   completion, where [session_done] parks it. The sole-source session
-   ends with a reply, a nak, a failed attempt or an abandon; the next
-   round is then due at once, and tops up to capacity. *)
+   completion, where [session_done] parks it. When the round's link
+   ends — a reply, a nak, a failed attempt or an abandon — the round's
+   next peer is asked at once. *)
 let rec apply t s action =
   (match (action, Initiator.state s.machine) with
   | Initiator.Completed, _ | _, Initiator.In_flight _ -> ()
   | _ -> close_session_conn s);
-  (match Initiator.state s.machine with
-  | (Initiator.Backoff _ | Initiator.Finished) when t.sole_source ->
-    t.sole_source <- false;
-    t.next_ae <- neg_infinity
-  | _ -> ());
-  match action with
+  (match action with
   | Initiator.Send attempt -> attempt_session t s attempt
   | Initiator.Wake_at _ -> ()
   | Initiator.Completed -> session_done t s
-  | Initiator.Abandoned -> Hashtbl.remove t.sessions s.s_peer
+  | Initiator.Abandoned -> Hashtbl.remove t.sessions s.s_peer);
+  match (t.link, Initiator.state s.machine) with
+  | Some link, (Initiator.Backoff _ | Initiator.Finished) when link == s -> next_link t
+  | _ -> ()
 
 (* A failed attempt — refused dial, send error, peer closed mid-session,
    corrupt reply — all funnel here, mirroring the simulated transport's
@@ -302,13 +295,21 @@ and attempt_session t s attempt =
     | Error _ -> session_attempt_failed t s
     | Ok conn -> send_request t s conn)
 
-let start_session t ~peer =
-  if not (Hashtbl.mem t.sessions peer) then begin
+(* Start the round's next queued peer, which becomes its link. A
+   reopen's catch-up round (see [create]) ends here, and schedules the
+   first regular one. *)
+and next_link t =
+  match t.queued with
+  | [] ->
+    t.link <- None;
+    if t.next_ae = infinity then t.next_ae <- Unix.gettimeofday () +. t.config.Config.ae_period
+  | peer :: rest ->
+    t.queued <- rest;
     let machine, first = Initiator.start t.config.Config.retry in
     let s = { s_peer = peer; machine; sconn = None } in
     Hashtbl.replace t.sessions peer s;
+    t.link <- Some s;
     apply t s first
-  end
 
 (* Whether [s] is still the peer's session, waiting on a reply. *)
 let awaiting_reply t s =
@@ -328,29 +329,29 @@ let session_reply t s frame =
 
 let session_capacity t = min t.config.Config.max_sessions (t.config.Config.n - 1)
 
-(* Each anti-entropy tick tops the session table up to capacity with
-   uniformly chosen distinct peers that are not already in-session —
-   with [max_sessions = 1] this is exactly the old one-random-peer
-   tick, and a sole-source round is capped the same way. *)
-let top_up_sessions t =
-  let cap = if t.sole_source then 1 else session_capacity t in
-  let active = Hashtbl.length t.sessions in
-  if cap > active then begin
-    let free = ref [] in
-    for p = t.config.Config.n - 1 downto 0 do
-      if p <> t.config.Config.id && not (Hashtbl.mem t.sessions p) then free := p :: !free
-    done;
-    let free = Array.of_list !free in
-    let avail = Array.length free in
-    let need = min (cap - active) avail in
-    for k = 0 to need - 1 do
-      let j = k + Prng.int t.prng (avail - k) in
-      let picked = free.(j) in
-      free.(j) <- free.(k);
-      free.(k) <- picked;
-      start_session t ~peer:picked
-    done
-  end
+(* An anti-entropy round: up to [session_capacity] uniformly chosen
+   distinct peers with no session, pulled one after another: each is
+   asked when the session before it ends, with the DBVV that reply
+   advanced, so it ships only what that reply did not. A new round
+   replaces the previous one's queue, so a mute or trickling peer holds
+   the others back for at most one tick (except in a reopen's catch-up
+   round, see [create]). *)
+let start_round t =
+  let free = ref [] in
+  for p = t.config.Config.n - 1 downto 0 do
+    if p <> t.config.Config.id && not (Hashtbl.mem t.sessions p) then free := p :: !free
+  done;
+  let free = Array.of_list !free in
+  let avail = Array.length free in
+  let need = min (session_capacity t) avail in
+  for k = 0 to need - 1 do
+    let j = k + Prng.int t.prng (avail - k) in
+    let picked = free.(j) in
+    free.(j) <- free.(k);
+    free.(k) <- picked
+  done;
+  t.queued <- Array.to_list (Array.sub free 0 need);
+  next_link t
 
 (* A control reply that cannot be sent — an [Export] snapshot over
    [Frame.max_stream_record], or one past the connection's output cap —
@@ -474,14 +475,14 @@ let create config =
          flush per loop turn releases it (see [finalize_turn]). *)
       Durable_node.set_group_commit durable true;
       (* A daemon reopened over existing state has probably missed
-         updates, and one source's reply ships all of them (paper
-         Theorem 5: one DBVV covers the whole backlog). So its first
-         round runs now, to one uniformly drawn peer; the rest are
-         asked once that session ends (see [apply]), with the DBVV the
-         reply has already advanced, and answer you-are-current or
-         with a short tail instead of the backlog again. A fresh boot
-         has nothing to catch up on and keeps a stagger, so an
-         N-process boot doesn't dial in lockstep. *)
+         updates, so its first round, the catch-up round, runs now:
+         the first peer's reply ships the whole backlog (paper
+         Theorem 5) and the later peers only what it lacked. No
+         regular round starts until it ends (see [next_link]): one
+         would ask the later peers with the stale DBVV while the
+         backlog reply, many ticks long, is built and applied. A fresh
+         boot keeps a stagger, so an N-process boot doesn't dial in
+         lockstep. *)
       let reopened = Vv.sum (Node.dbvv_view (Durable_node.node durable)) > 0 in
       let t =
         {
@@ -492,19 +493,20 @@ let create config =
           started = now;
           conns = [];
           sessions = Hashtbl.create 8;
-          sole_source = reopened;
-          compaction = (if reopened then After_catchup else No);
+          link = None;
+          queued = [];
+          compact_pending = reopened;
           idle = Hashtbl.create 8;
           (* The first regular round: staggered on a fresh boot, one
-             period after the sole-source round on a reopen. *)
+             period after the catch-up round ends on a reopen. *)
           next_ae =
-            (let stagger = if reopened then 0.0 else float_of_int id /. float_of_int n in
-             now +. (config.Config.ae_period *. (1.0 +. stagger)));
+            (if reopened then infinity
+             else now +. (config.Config.ae_period *. (1.0 +. (float_of_int id /. float_of_int n))));
           quit = false;
           refused_replies = 0;
         }
       in
-      if reopened then top_up_sessions t;
+      if reopened then start_round t;
       Ok t)
 
 let listen_addr t = T.listen_addr t.transport
@@ -541,19 +543,17 @@ let finalize_turn t =
       | _ -> ())
     (all_sessions t)
 
-(* The catch-up round is the sole-source session plus the round its
-   end triggers. The journal then holds the backlog just pulled, which
-   the node already serves, so the first regular tick after that round
-   with no session in flight folds it into a checkpoint: the next
-   restart replays only what came after. Waiting that one tick keeps
-   the checkpoint, which blocks the loop, off the catch-up itself. *)
+(* A reopen's catch-up round leaves the journal holding the backlog
+   just pulled, which the node already serves, so the first regular
+   tick that finds no session in flight — the catch-up round over —
+   folds it into a checkpoint: the next restart replays only what came
+   after. Waiting for a tick keeps the checkpoint, which blocks the
+   loop, off the catch-up itself. *)
 let compact_at_tick t =
-  match t.compaction with
-  | After_catchup when not t.sole_source -> t.compaction <- Next_tick
-  | Next_tick when Hashtbl.length t.sessions = 0 ->
-    t.compaction <- No;
+  if t.compact_pending && Hashtbl.length t.sessions = 0 then begin
+    t.compact_pending <- false;
     if Durable_node.journal_records t.durable > 0 then Durable_node.checkpoint t.durable
-  | No | After_catchup | Next_tick -> ()
+  end
 
 let step t =
   let now = Unix.gettimeofday () in
@@ -568,7 +568,7 @@ let step t =
   if now >= t.next_ae then begin
     t.next_ae <- now +. t.config.Config.ae_period;
     compact_at_tick t;
-    if t.config.Config.n > 1 then top_up_sessions t
+    if t.config.Config.n > 1 then start_round t
   end;
   if t.config.Config.checkpoint_every > 0
      && Durable_node.journal_records t.durable >= t.config.Config.checkpoint_every

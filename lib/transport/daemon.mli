@@ -7,15 +7,21 @@
     pushes a peer sends, journaling before applying; it sends none
     itself, since pull anti-entropy alone delivers every update (paper
     Theorem 5). Actively each anti-entropy
-    tick tops a table of per-peer initiator sessions up to
-    [max_sessions] distinct random peers. A fresh boot staggers its
-    first tick to [ae_period * (1 + id/n)], so an N-process boot does
-    not dial in lockstep. A daemon reopened over existing state (a
-    non-zero recovered DBVV) instead runs its first round in
-    {!create}, to one random peer only; when that session ends (reply,
-    nak, failed attempt or abandon) the next round runs at once and
-    tops up to capacity. The other peers are thus asked with the DBVV
-    the first reply advanced, and the backlog crosses the wire once.
+    tick starts a round: up to [max_sessions] distinct random peers
+    with no session in flight, pulled one after another. The first is
+    asked at once, each later one when the session before it ends
+    (reply, nak, failed attempt or abandon), so its request carries
+    the DBVV the previous reply advanced and no update crosses the
+    wire twice in a round. A new round replaces the queue of the one
+    before, and a peer still in session is skipped, so a mute or
+    trickling peer delays the others by at most one tick. A fresh boot
+    staggers its first tick to [ae_period * (1 + id/n)], so an
+    N-process boot does not dial in lockstep; a daemon reopened over
+    existing state (a non-zero recovered DBVV) runs its first round,
+    the catch-up round, in {!create}, so the first peer's reply ships
+    the whole backlog. That reply can take many ticks, so no regular
+    round starts until the catch-up round has ended: a mute peer
+    there delays the others by up to its reply timeout.
     Every in-flight session is just another fd in the select set,
     driving its own {!Transport.Initiator} — the machine the
     simulation engine drives too — fed [Unix.gettimeofday]: its reply
@@ -56,8 +62,8 @@ module Config : sig
         (** Self-terminate after this many seconds — the timeout
             guard for scripted runs. *)
     max_sessions : int;
-        (** Concurrent initiator sessions the anti-entropy timer keeps
-            in flight (clamped to [n - 1] live peers; at least 1). *)
+        (** Peers each anti-entropy round pulls, one after another
+            (clamped to [n - 1]; at least 1). *)
   }
 
   val make :
@@ -78,7 +84,7 @@ module Config : sig
       to a 0.5 s per-attempt timeout, no periodic checkpoint
       (a reopen still checkpoints once after its catch-up round, and
       before it binds when its journal outgrew its checkpoint, see
-      {!create}), no runtime bound, 4 concurrent sessions. *)
+      {!create}), no runtime bound, 4 peers per round. *)
 end
 
 (** The client-facing control protocol: one {!Edb_persist.Codec}
@@ -121,15 +127,15 @@ val create : Config.t -> (t, string) result
 (** Open (or recover) the durable node and bind the listening socket.
     Recovery replays the WAL over the latest checkpoint, so a daemon
     restarted after [kill -9] resumes exactly where the journal ends;
-    when it recovered a non-zero DBVV, its sole-source first session
-    is opened here.
+    when it recovered a non-zero DBVV, its first round (the catch-up
+    round) starts here, and the first regular round one [ae_period]
+    after it ends.
 
     A reopened daemon folds its journal into a checkpoint
     ({!Edb_persist.Durable_node.checkpoint}, crash-atomic) once, after
-    it has caught up: at the first regular anti-entropy tick after its
-    catch-up round (the sole-source session and the round its end
-    triggers) that finds no session in flight, and only when the
-    journal holds a record. The journal then holds the backlog just
+    it has caught up: at the first regular anti-entropy tick that
+    finds no session in flight, so after its catch-up round has ended,
+    and only when the journal holds a record. The journal then holds the backlog just
     pulled, so the next restart replays only what was journaled after
     it. The checkpoint blocks the loop while it runs, but after the
     node serves the backlog, not between exec and its first reply.

@@ -34,8 +34,8 @@ val start :
     Daemons self-terminate after [max_runtime] (default 120 s), the
     harness's outermost hang guard. Control dials retry for
     [control_timeout] (default 5 s), covering daemon boot time.
-    [max_sessions] is passed through to every daemon (the concurrent
-    anti-entropy fan-out; the daemon's default is 4). *)
+    [max_sessions] is passed through to every daemon (the peers each
+    anti-entropy round pulls; the daemon's default is 4). *)
 
 val running : t -> node:int -> bool
 (** Whether node [node]'s daemon is alive. A daemon that exited or was

@@ -108,8 +108,9 @@ module Initiator : sig
       it; the simulation engine delivers whole messages and never
       does. A peer that keeps trickling bytes therefore holds its
       session open indefinitely — but only its own slot in the
-      daemon's session table: other peers' sessions, and the
-      anti-entropy rounds that top the table up, run on. *)
+      daemon's session table: the next anti-entropy round skips that
+      peer and pulls the others, so they wait at most one tick
+      (outside a reopened daemon's catch-up round). *)
 
   val reply : t -> action
   (** A reply or nak was decoded — also one from a superseded attempt

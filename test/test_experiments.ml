@@ -12,8 +12,8 @@ let test_all_tables_render () =
   let tables = Experiments.all ~quick:true () in
   Alcotest.(check int) "twenty experiments" 20 (List.length tables);
   List.iter
-    (fun (id, table) ->
-      let rendered = Edb_metrics.Table.render table in
+    (fun (id, build) ->
+      let rendered = Edb_metrics.Table.render (build ()) in
       Alcotest.(check bool) (id ^ " renders") true (String.length rendered > 0))
     tables
 

@@ -427,6 +427,15 @@ let require = function
   | Ok v -> v
   | Error e -> Alcotest.fail e
 
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Array.iter (fun name -> rm_rf (Filename.concat path name)) (Sys.readdir path);
+    Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+(* The suite's scratch directory, removed when the test run exits. *)
 let temp_dir =
   lazy
     (let dir =
@@ -435,6 +444,7 @@ let temp_dir =
          (Printf.sprintf "edb-seam-%d" (Unix.getpid ()))
      in
      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+     at_exit (fun () -> try rm_rf dir with Unix.Unix_error _ | Sys_error _ -> ());
      dir)
 
 let cluster_dir name =
@@ -851,6 +861,73 @@ let test_daemon_trickling_peer_completes () =
           Node.read (Daemon.node d) "alpha" = Some "trickled");
       Alcotest.(check int) "completed on the first attempt" 0 c.Counters.timeouts;
       Alcotest.(check int) "one dial" 1 c.Counters.connections_opened)
+
+(* Peer 1 accepts and never answers, so its session stays in flight
+   for the whole 5 s reply timeout; peer 2 answers every request. A
+   round never waits for a session of an earlier round, so peer 2 is
+   asked at least once every two 10 ms ticks, whichever peer the first
+   round draws first. *)
+let test_daemon_silent_peer_holds_no_round () =
+  let dir = cluster_dir "silent" in
+  let tick = 0.01 and window = 0.5 in
+  let listen peer =
+    require (Socket_transport.create ~listen:(daemon_sock dir peer) ~id:peer ~peers:[] ())
+  in
+  let listeners = [ (1, listen 1); (2, listen 2) ] in
+  let source = Node.create ~id:2 ~n:3 () in
+  let retry = { Transport.default_retry_policy with Transport.timeout = 5.0 } in
+  let d =
+    create_daemon ~ae_period:tick ~retry ~dir ~id:0 ~n:3
+      [ (1, daemon_sock dir 1); (2, daemon_sock dir 2) ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.shutdown d;
+      List.iter (fun (_, l) -> Socket_transport.close l) listeners)
+    (fun () ->
+      let requests = Array.make 3 0 in
+      let conns = ref [] in
+      let serve (peer, conn) =
+        match Socket_transport.read_into conn with
+        | `Eof | `Error _ -> false
+        | `Data ->
+          let rec drain () =
+            match Socket_transport.next_record conn with
+            | None -> ()
+            | Some record ->
+              requests.(peer) <- requests.(peer) + 1;
+              (match Transport.Record.classify record with
+              | Ok (Transport.Record.Frame frame) when peer = 2 -> (
+                match Transport.serve_frame source ~src:0 frame with
+                | Some reply ->
+                  require (Socket_transport.send conn (Transport.Record.frame reply));
+                  flush_all conn
+                | None -> ())
+              | _ -> ());
+              drain ()
+          in
+          drain ();
+          true
+      in
+      let stop = Unix.gettimeofday () +. window in
+      while Unix.gettimeofday () < stop do
+        Daemon.step d;
+        List.iter
+          (fun (peer, l) ->
+            match Socket_transport.accept_nonblocking l with
+            | Ok (Some conn) -> conns := (peer, conn) :: !conns
+            | Ok None | Error _ -> ())
+          listeners;
+        conns := List.filter serve !conns
+      done;
+      List.iter (fun (_, conn) -> Socket_transport.close_conn conn) !conns;
+      Alcotest.(check int) "peer 1's one request is still unanswered" 1 requests.(1);
+      let want = int_of_float (window /. (2.0 *. tick)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "peer 2 was asked %d times in %.1f s (want >= %d)" requests.(2) window
+           want)
+        true
+        (requests.(2) >= want))
 
 (* One record to an in-process daemon over a client connection,
    stepping the daemon until the answer arrives. *)
@@ -1363,11 +1440,14 @@ let test_daemon_reopen_compacts_after_catchup () =
         (state () = before))
 
 (* A daemon reopened over existing state pulls at once, from one peer:
-   the rounds are a second apart, yet node 2 reads the whole backlog
-   well within one of them, and only one survivor ships it — the other
-   is asked with the DBVV that first reply advanced. *)
-let test_daemon_reopen_catches_up_from_one_source () =
-  let h = start_cluster ~ae_period:1.0 ~seed:88 ~dir:(cluster_dir "reopen-one") ~n:3 () in
+   with rounds a second apart node 2 reads the whole backlog well
+   within one of them, and only one survivor ships it — the other is
+   asked with the DBVV that first reply advanced. With 2 ms rounds the
+   reply takes many ticks to build and apply, and no regular round may
+   ask the other survivor meanwhile. *)
+let test_daemon_reopen_catches_up_from_one_source ~ae_period () =
+  let dir = cluster_dir (Printf.sprintf "reopen-one-%g" ae_period) in
+  let h = start_cluster ~ae_period ~seed:88 ~dir ~n:3 () in
   Fun.protect
     ~finally:(fun () -> Harness.shutdown h)
     (fun () ->
@@ -1399,6 +1479,44 @@ let test_daemon_reopen_catches_up_from_one_source () =
            growth.(0) growth.(1))
         true
         (float_of_int total < 1.5 *. float_of_int larger))
+
+(* Each round pulls its peers one after another, every request
+   carrying the DBVV the previous reply advanced, so no replica is
+   shipped the same update twice: over the cluster, the items sources
+   ship ([items_examined]) match the items recipients adopt
+   ([items_copied]). Two origins write in batches over about a second
+   of 50 ms rounds; pulling a round's peers at once would ship node 2
+   each origin's batch from both survivors. *)
+let test_daemon_round_ships_nothing_twice () =
+  let n = 3 in
+  let h = start_cluster ~ae_period:0.05 ~seed:66 ~dir:(cluster_dir "chained") ~n () in
+  Fun.protect
+    ~finally:(fun () -> Harness.shutdown h)
+    (fun () ->
+      for batch = 0 to 19 do
+        for node = 0 to 1 do
+          for k = 0 to 4 do
+            require
+              (Harness.update h ~node
+                 ~item:(Printf.sprintf "b%d.%d.%d" batch k node)
+                 (set (string_of_int batch)))
+          done
+        done;
+        Unix.sleepf 0.05
+      done;
+      await h;
+      let total field =
+        List.fold_left
+          (fun acc node -> acc + List.assoc field (require (Harness.counters_of h ~node)))
+          0 (List.init n Fun.id)
+      in
+      let examined = total "items_examined" and copied = total "items_copied" in
+      Alcotest.(check bool) "every write was copied twice" true (copied >= 2 * 200);
+      Alcotest.(check bool)
+        (Printf.sprintf "sources shipped %d items for %d adopted (want <= 1.05x)" examined
+           copied)
+        true
+        (float_of_int examined <= 1.05 *. float_of_int copied))
 
 (* Every node reopens at once over its own non-empty directory, so a
    prompt first round can dial a peer that is not listening yet. The
@@ -1634,6 +1752,8 @@ let suite =
       test_daemon_quiet_session_major_heap;
     Alcotest.test_case "daemons: mute peer times out and re-dials" `Quick
       test_daemon_mute_peer_redials;
+    Alcotest.test_case "daemons: a silent peer holds no round back" `Quick
+      test_daemon_silent_peer_holds_no_round;
     Alcotest.test_case "daemons: a trickled reply completes without a timeout" `Quick
       test_daemon_trickling_peer_completes;
     Alcotest.test_case "daemons: 2-process unix cluster converges" `Quick
@@ -1651,7 +1771,11 @@ let suite =
     Alcotest.test_case "daemons: a reopen compacts one tick after its catch-up round" `Quick
       test_daemon_reopen_compacts_after_catchup;
     Alcotest.test_case "daemons: a reopened node catches up at once, from one source" `Quick
-      test_daemon_reopen_catches_up_from_one_source;
+      (test_daemon_reopen_catches_up_from_one_source ~ae_period:1.0);
+    Alcotest.test_case "daemons: a catch-up round holds 2 ms rounds back" `Quick
+      (test_daemon_reopen_catches_up_from_one_source ~ae_period:0.002);
+    Alcotest.test_case "daemons: a round ships nothing twice" `Quick
+      test_daemon_round_ships_nothing_twice;
     Alcotest.test_case "daemons: whole-cluster reopen still converges" `Quick
       test_daemon_whole_cluster_reopen;
     Alcotest.test_case "daemons: tcp smoke" `Quick test_daemon_tcp_smoke;
