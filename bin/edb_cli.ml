@@ -874,9 +874,10 @@ let serve_cmd =
       value & opt int 0
       & info [ "checkpoint-every" ] ~docv:"K"
           ~doc:
-            "Checkpoint when the journal reaches K records (0: no periodic checkpoint; a \
-             restart still checkpoints once after its catch-up round, and before it binds \
-             when the journal is larger than its checkpoint).")
+            "Also checkpoint when the journal reaches K records (0: no such bound). \
+             Without it the daemon still checkpoints at a tick once its journal is larger \
+             than both its checkpoint and 1 MiB, once after a restart's catch-up round, \
+             and before it binds when the journal is larger than its checkpoint.")
   in
   let max_runtime =
     Arg.(

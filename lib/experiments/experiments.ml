@@ -935,7 +935,7 @@ let e17_message_loss ?(quick = false) () =
 (* E18 — sharded replicas: per-shard skipping and parallel sync        *)
 (* ------------------------------------------------------------------ *)
 
-let e18_sharded_replicas ?(quick = false) () =
+let e18_with_wall ?(quick = false) () =
   let nodes = if quick then 8 else 16 in
   let n_items = if quick then 64 else 256 in
   let rounds = if quick then 4 else 10 in
@@ -954,9 +954,9 @@ let e18_sharded_replicas ?(quick = false) () =
       ~columns:
         [
           "shards"; "domains"; "sessions"; "noop"; "shards skipped"; "bytes";
-          "wall ms";
         ]
   in
+  let wall = ref [] in
   let run ~shards ~domains =
     let cluster = Cluster.create ~shards ~n:nodes () in
     (* Seed the full universe at node 0 and converge, so steady state
@@ -994,15 +994,17 @@ let e18_sharded_replicas ?(quick = false) () =
         string_of_int totals.Counters.noop_sessions;
         string_of_int totals.Counters.shards_skipped;
         string_of_int totals.Counters.bytes_sent;
-        Printf.sprintf "%.1f" elapsed_ms;
-      ]
+      ];
+    wall := Printf.sprintf "shards=%d domains=%d %.1f" shards domains elapsed_ms :: !wall
   in
   List.iter
     (fun shards ->
       run ~shards ~domains:1;
       if shards > 1 then run ~shards ~domains:4)
     [ 1; 4; 16 ];
-  table
+  (table, "E18 wall ms (wall clock, differs run to run): " ^ String.concat ", " (List.rev !wall))
+
+let e18_sharded_replicas ?quick () = fst (e18_with_wall ?quick ())
 
 (* ------------------------------------------------------------------ *)
 (* E19 — wire codec v2: measured bytes on the wire                     *)
@@ -1397,7 +1399,11 @@ let all ?(quick = false) () =
     ("E14", fun () -> e14_token_ablation ~quick ());
     ("E15", fun () -> e15_peer_cache_savings ~quick ());
     ("E17", fun () -> e17_message_loss ~quick ());
-    ("E18", fun () -> e18_sharded_replicas ~quick ());
+    ( "E18",
+      fun () ->
+        let table, wall = e18_with_wall ~quick () in
+        prerr_endline wall;
+        table );
     ("E19", fun () -> e19_wire_codec ~quick ());
     ("E20", fun () -> e20_push_vs_pull ~quick ());
     ("E21", fun () -> e21_membership_gc ~quick ());

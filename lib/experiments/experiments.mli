@@ -115,6 +115,12 @@ val e18_sharded_replicas : ?quick:bool -> unit -> Edb_metrics.Table.t
     stay flat as the shard count grows while [domains = 4] shows the
     intra-pair parallel speedup on the shards that do ship. *)
 
+val e18_with_wall : ?quick:bool -> unit -> Edb_metrics.Table.t * string
+(** {!e18_sharded_replicas}'s table plus one labelled line of each
+    row's wall-clock milliseconds, kept out of the table so that it
+    renders the same bytes on every run. {!all}'s E18 entry prints the
+    line on stderr. *)
+
 val e19_wire_codec : ?quick:bool -> unit -> Edb_metrics.Table.t
 (** Wire codec v2 vs v1 over framed ring sessions on a 16-node cluster:
     real encoded frame lengths ([wire_bytes_sent]) next to the

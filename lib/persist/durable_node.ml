@@ -25,6 +25,12 @@ type t = {
      commit point. *)
   mutable group_commit : bool;
   mutable unsynced : int;
+  (* The journal's and the snapshot's bytes, kept as they change so
+     that [disk_bytes] opens no file: the journal's start at the intact
+     prefix replay found and grow by each appended frame, the
+     snapshot's are the blob the last checkpoint wrote. *)
+  mutable journal_bytes : int;
+  mutable snapshot_bytes : int;
 }
 
 let snapshot_path dir = Filename.concat dir "node.snap"
@@ -184,6 +190,10 @@ let open_or_create ?policy ?mode ?(shards = 1) ~dir ~id ~n () =
         if replay_result.torn_tail then
           Unix.truncate (journal_path ~dir) replay_result.intact;
         let wal = Wal.open_writer ~path:(journal_path ~dir) in
+        let snapshot_bytes =
+          if Sys.file_exists (snapshot_path dir) then (Unix.stat (snapshot_path dir)).st_size
+          else 0
+        in
         Ok
           ( {
               node = !node_ref;
@@ -193,6 +203,8 @@ let open_or_create ?policy ?mode ?(shards = 1) ~dir ~id ~n () =
               membership = List.rev !membership;
               group_commit = false;
               unsynced = 0;
+              journal_bytes = replay_result.intact;
+              snapshot_bytes;
             },
             replay_result ))
 
@@ -201,7 +213,8 @@ let node t = t.node
 let journal t record =
   Wal.append_blob ~flush:(not t.group_commit) t.wal record;
   if t.group_commit then t.unsynced <- t.unsynced + 1;
-  t.journal_records <- t.journal_records + 1
+  t.journal_records <- t.journal_records + 1;
+  t.journal_bytes <- t.journal_bytes + Wal.frame_bytes record
 
 (* Sync releases the current group-commit batch; under group commit the
    sync — not the append — is the commit point, and a crash between
@@ -298,24 +311,22 @@ let membership_log t = t.membership
 let checkpoint t =
   sync t;
   let journal = journal_path ~dir:t.dir in
-  Snapshot.write t.node ~path:(tmp_snapshot_path t.dir);
+  let snapshot_bytes = Snapshot.write t.node ~path:(tmp_snapshot_path t.dir) in
   Fault.hit "checkpoint.snapshot.written";
   Wal.close_writer t.wal;
   Sys.rename journal (retired_journal_path t.dir);
   Fault.hit "checkpoint.journal.retired";
   Sys.rename (tmp_snapshot_path t.dir) (snapshot_path t.dir);
+  t.snapshot_bytes <- snapshot_bytes;
   Fault.hit "checkpoint.snapshot.renamed";
   Sys.remove (retired_journal_path t.dir);
   t.wal <- Wal.open_writer ~path:journal;
   t.journal_records <- 0;
+  t.journal_bytes <- 0;
   t.membership <- [];
   Fault.hit "checkpoint.journal.dropped"
 
-let file_bytes path =
-  if Sys.file_exists path then In_channel.with_open_bin path In_channel.length |> Int64.to_int
-  else 0
-
-let disk_bytes t = (file_bytes (journal_path ~dir:t.dir), file_bytes (snapshot_path t.dir))
+let disk_bytes t = (t.journal_bytes, t.snapshot_bytes)
 
 let journal_records t = t.journal_records
 

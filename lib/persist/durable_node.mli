@@ -30,12 +30,15 @@
     {b The no-op rule.} A propagation reply that would change nothing
     ({!Edb_core.Node.reply_is_noop}: every shipped item's IVV equals the
     local regular copy's and every tail record is already in its log
-    component) is neither journaled nor applied. The daemon opens its
-    sessions to every peer at once with the same DBVV, so after a crash
-    the second survivor's answer to a catch-up repeats the first one's;
-    without the rule the journal would hold it twice. Eliding it is
-    safe because replay reaches every record in exactly the state its
-    accept saw: a no-op then is a no-op at replay.
+    component) is neither journaled nor applied. The daemon chains a
+    round's sessions, so each request carries the DBVV the previous
+    reply advanced; but a session from an earlier round may still wait
+    on a slow peer beside the new round's first one, both asked with a
+    DBVV that lacked the same updates. The reply accepted second can
+    then ship only what the first one delivered, and without the rule
+    the journal would hold it twice. Eliding it is safe because replay
+    reaches every record in exactly the state its accept saw: a no-op
+    then is a no-op at replay.
 
     Mutations must go through this wrapper's entry points; driving the
     wrapped {!node} directly bypasses the journal. *)
@@ -175,8 +178,12 @@ val checkpoint : t -> unit
 
 val disk_bytes : t -> int * int
 (** [(journal, checkpoint)]: the bytes of the journal and of the
-    snapshot on disk ([0] for no snapshot). Unsynced group-commit
-    records are not counted. *)
+    snapshot ([0] for no snapshot), counted in memory as they change, so
+    no file is opened. The journal's count starts at the intact prefix
+    {!open_or_create} replayed and grows by each appended frame,
+    unsynced group-commit records included (they reach the file at the
+    next {!sync}); the snapshot's is the blob the last {!checkpoint}
+    wrote, or the file's size at open. *)
 
 val journal_records : t -> int
 (** Records in the journal since the last checkpoint: those replayed at

@@ -197,14 +197,15 @@ let write node ~path =
   let oc = open_out_bin path in
   try
     output_string oc blob;
-    close_out oc
+    close_out oc;
+    String.length blob
   with e ->
     close_out_noerr oc;
     raise e
 
 let save node ~path =
   let tmp = path ^ ".tmp" in
-  write node ~path:tmp;
+  let (_ : int) = write node ~path:tmp in
   Sys.rename tmp path
 
 let load ?policy ?conflict_handler ?mode ~path () =

@@ -30,10 +30,10 @@ val save : Edb_core.Node.t -> path:string -> unit
 (** [save node ~path] writes {!encode}'s output atomically: {!write} to
     [path ^ ".tmp"], then a rename over [path]. *)
 
-val write : Edb_core.Node.t -> path:string -> unit
+val write : Edb_core.Node.t -> path:string -> int
 (** [write node ~path] writes {!encode}'s output to [path] in place,
     for a caller that renames it into place itself
-    ({!Durable_node.checkpoint}). *)
+    ({!Durable_node.checkpoint}), and returns its length in bytes. *)
 
 val load :
   ?policy:Edb_core.Node.resolution_policy ->

@@ -29,6 +29,8 @@ let write_frame ~flush w record sum =
   output_bytes w.channel trailer;
   if flush then Stdlib.flush w.channel
 
+let frame_bytes record = 8 + String.length record + 4
+
 let append ?(flush = true) w record = write_frame ~flush w record (Codec.adler32 record)
 
 (* A codec blob's last 4 bytes are the Adler-32 of the bytes before

@@ -43,6 +43,11 @@ val append_blob : ?flush:bool -> writer -> string -> unit
     frame is the one {!append} writes when the trailer is right;
     [Invalid_argument] below 4 bytes. *)
 
+val frame_bytes : string -> int
+(** [frame_bytes record] is the bytes {!append} (or {!append_blob})
+    adds to the file for [record]: its length header, the record and
+    its checksum. *)
+
 val sync : writer -> unit
 (** [sync w] flushes every record appended so far to the OS — the
     commit point for a group-commit batch built with

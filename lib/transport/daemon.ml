@@ -452,6 +452,20 @@ let service_conn t conn ~on_record =
     `Closed
   | `Data -> drain_conn t conn ~on_record
 
+(* Whether the journal has outgrown its checkpoint: more bytes than the
+   snapshot (no snapshot counts as 0) and than [floor]. Folding it then
+   writes at most one snapshot byte per journal byte appended since the
+   last checkpoint, and leaves a restart less than one checkpoint's
+   worth of journal to replay: disk and replay follow the state, not the
+   history. Byte counts are in memory, so asking costs no system call. *)
+let journal_outgrown ?(floor = 0) durable =
+  let journal, snapshot = Durable_node.disk_bytes durable in
+  journal > max floor snapshot
+
+(* A running daemon's floor for [journal_outgrown]: below it a small
+   state would be checkpointed at nearly every tick. *)
+let running_floor = 1 lsl 20
+
 let create config =
   let { Config.id; n; dir; listen; peers; seed; _ } = config in
   match Durable_node.open_or_create ~dir ~id ~n () with
@@ -459,12 +473,9 @@ let create config =
   | Ok (durable, _replay) -> (
     (* The backstop to [compact_at_tick]: a journal longer than its
        checkpoint, left by an incarnation that died before compacting,
-       is folded into a fresh one before the socket is bound. Each
-       such compaction writes at most one snapshot byte per journal
-       byte appended since the last, and the next restart replays less
-       than one checkpoint's worth of journal. *)
-    let journal, snapshot = Durable_node.disk_bytes durable in
-    if journal > snapshot then Durable_node.checkpoint durable;
+       is folded into a fresh one before the socket is bound, with no
+       floor. *)
+    if journal_outgrown durable then Durable_node.checkpoint durable;
     match T.create ~listen ~id ~peers () with
     | Error _ as e ->
       Durable_node.close durable;
@@ -548,12 +559,16 @@ let finalize_turn t =
    tick that finds no session in flight — the catch-up round over —
    folds it into a checkpoint: the next restart replays only what came
    after. Waiting for a tick keeps the checkpoint, which blocks the
-   loop, off the catch-up itself. *)
+   loop, off the catch-up itself. Every tick also folds a journal that
+   has outgrown its checkpoint and [running_floor], so a daemon that
+   never restarts keeps its journal under max(snapshot, floor) plus one
+   tick's appends. *)
 let compact_at_tick t =
   if t.compact_pending && Hashtbl.length t.sessions = 0 then begin
     t.compact_pending <- false;
     if Durable_node.journal_records t.durable > 0 then Durable_node.checkpoint t.durable
-  end
+  end;
+  if journal_outgrown ~floor:running_floor t.durable then Durable_node.checkpoint t.durable
 
 let step t =
   let now = Unix.gettimeofday () in

@@ -56,7 +56,7 @@ module Config : sig
     seed : int;  (** Peer choice and backoff jitter PRNG seed. *)
     checkpoint_every : int;
         (** Checkpoint when the journal reaches this many records;
-            [0] disables the periodic checkpoint (a reopen's own
+            [0] disables this bound (the size rule and a reopen's own
             compactions, see {!create}, still run). *)
     max_runtime : float option;
         (** Self-terminate after this many seconds — the timeout
@@ -81,9 +81,10 @@ module Config : sig
     unit ->
     t
   (** Defaults: 50 ms anti-entropy, the default retry policy tightened
-      to a 0.5 s per-attempt timeout, no periodic checkpoint
-      (a reopen still checkpoints once after its catch-up round, and
-      before it binds when its journal outgrew its checkpoint, see
+      to a 0.5 s per-attempt timeout, no record-count checkpoint
+      (a tick still checkpoints once the journal outgrows its
+      checkpoint and 1 MiB, a reopen once after its catch-up round,
+      and before it binds when its journal outgrew its checkpoint, see
       {!create}), no runtime bound, 4 peers per round. *)
 end
 
@@ -146,11 +147,20 @@ val create : Config.t -> (t, string) result
     incarnation died before its own post-catch-up compaction (a crash
     loop) or on a first open over a long journal, and it keeps a
     restart's replay under one checkpoint's worth of journal even
-    then: its cost follows the state, not the history. Neither rule
-    needs a setting; a periodic checkpoint during a run is
-    [checkpoint_every]'s. The daemon has no membership layer, so
-    folding the journal's membership log into the snapshot loses
-    nothing. *)
+    then: its cost follows the state, not the history.
+
+    The running rule: a daemon that never restarts applies the same
+    test at every anti-entropy tick, with a 1 MiB floor so that a small
+    state is not checkpointed at nearly every tick. Once its journal
+    has more bytes than both the checkpoint and the floor, the tick
+    checkpoints, so the journal stays under max(checkpoint, 1 MiB) plus
+    one tick's appends, and each checkpoint writes at most one snapshot
+    byte per journal byte appended since the last one. The byte counts
+    are kept in memory ({!Edb_persist.Durable_node.disk_bytes}), so the
+    test costs no system call. None of these rules needs a setting;
+    [checkpoint_every] adds a bound by record count. The daemon has no
+    membership layer, so folding the journal's membership log into the
+    snapshot loses nothing. *)
 
 val node : t -> Edb_core.Node.t
 
@@ -163,7 +173,7 @@ val refused_replies : t -> int
 
 val step : t -> unit
 (** One select-loop iteration: fire due timers (anti-entropy session,
-    session deadline or backoff, periodic or post-catch-up
+    session deadline or backoff, post-catch-up, size-rule or periodic
     checkpoint), then wait briefly for readiness and service every
     readable connection. *)
 

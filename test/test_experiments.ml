@@ -110,7 +110,7 @@ let test_e10_claim_independent_of_update_count () =
   in
   Alcotest.(check int) "8 updates vs 512 updates, same session work" (work 8) (work 512)
 
-(* ---------- Pinned E12/E13/E17 tables ---------- *)
+(* ---------- Pinned E12/E13/E17/E18 tables ---------- *)
 
 (* E12, E13 and E17 run through Edb_scenario.Orchestrator. Each table is
    pinned at both sweep sizes by a digest of its rendering (title,
@@ -118,7 +118,9 @@ let test_e10_claim_independent_of_update_count () =
    counter totals, field by field, so a failure shows which counter
    moved. Every run is seeded, so a changed pin means the simulator now
    behaves differently (engine event order, peer draws, counter
-   charges, arrival timing), not a stale fixture. *)
+   charges, arrival timing), not a stale fixture. E18's ring rounds are
+   pinned the same way; its wall-clock times are a separate line
+   ([Experiments.e18_with_wall]), not a column. *)
 let table_pins =
   [
     ( "E12 quick", Experiments.e12_timeliness_vs_period ~quick:true,
@@ -133,6 +135,10 @@ let table_pins =
       "ef61e0e17797b027141fa5d4d8dd2254" );
     ( "E17 full", Experiments.e17_message_loss ~quick:false,
       "677d1b1a3b181712a9d2e19eb455b9df" );
+    ( "E18 quick", Experiments.e18_sharded_replicas ~quick:true,
+      "c5df6796e4c4d380cb5595c995783d8c" );
+    ( "E18 full", Experiments.e18_sharded_replicas ~quick:false,
+      "c1ba72b8af5982f9f9391002a6ed2e8b" );
   ]
 
 let test_table_pin (id, run, digest) () =

@@ -1041,7 +1041,9 @@ let test_daemon_refused_control_fails () =
 (* [checkpoint_every = K]: the turn after the K-th journaled update
    folds the journal into node.snap, so after K + 2 acked updates the
    journal holds only the last two. [0] turns the rule off: no
-   snapshot, and every update stays in the journal. Either way a reopen
+   snapshot, and every update stays in the journal — the seven updates
+   are far under the 1 MiB floor of the size rule, which a running
+   daemon applies whatever [checkpoint_every] says. Either way a reopen
    recovers every acked value. *)
 let test_daemon_checkpoint_every ~checkpoint_every ~snapshot ~journal () =
   let dir = cluster_dir (Printf.sprintf "checkpoint-every-%d" checkpoint_every) in
@@ -1075,6 +1077,51 @@ let test_daemon_checkpoint_every ~checkpoint_every ~snapshot ~journal () =
           Alcotest.(check (option string)) (item ^ " recovered") (Some value)
             (Node.read (Durable.node durable) item))
         items)
+
+(* The size rule: at a tick, a journal past both its checkpoint and
+   the 1 MiB floor is folded into node.snap, with no setting. 12 000
+   updates of 100-byte values over 100 keys journal about 1.8 MB while
+   the state, and so the snapshot, stays near 16 KB: the floor decides,
+   the rule fires once, and the journal ends under the floor plus what
+   one tick appended (a 2 ms tick; 64 KiB is hundreds of updates). A
+   reopen recovers the state the daemon served before it closed. *)
+let test_daemon_journal_outgrows_checkpoint () =
+  let floor = 1 lsl 20 in
+  let dir = cluster_dir "outgrown" in
+  let node_dir = Filename.concat dir "node0" in
+  let d = create_daemon ~dir ~id:0 ~n:1 [] in
+  let client =
+    require (Socket_transport.create ~id:1 ~peers:[ (0, daemon_sock dir 0) ] ())
+  in
+  let before =
+    Fun.protect
+      ~finally:(fun () ->
+        Daemon.shutdown d;
+        Socket_transport.close client)
+      (fun () ->
+        let control = daemon_control d (require (Socket_transport.dial client ~peer:0)) in
+        for i = 0 to 11_999 do
+          let item = Printf.sprintf "k%d" (i mod 100) in
+          if control (Daemon.Control.Update { item; op = set (Printf.sprintf "%0100d" i) })
+             <> Daemon.Control.Ack
+          then Alcotest.failf "update %d not acked" i
+        done;
+        Node.export_state (Daemon.node d))
+  in
+  Alcotest.(check bool) "node.snap written" true
+    (Sys.file_exists (Filename.concat node_dir "node.snap"));
+  let journal = (Unix.stat (Filename.concat node_dir "node.wal")).Unix.st_size in
+  Alcotest.(check bool)
+    (Printf.sprintf "journal %d B under the floor plus one tick" journal)
+    true
+    (journal < floor + (64 * 1024));
+  let module Durable = Edb_persist.Durable_node in
+  let durable, _ = require (Durable.open_or_create ~dir:node_dir ~id:0 ~n:1 ()) in
+  Fun.protect
+    ~finally:(fun () -> Durable.close durable)
+    (fun () ->
+      Alcotest.(check bool) "a reopen exports the pre-close state" true
+        (Node.export_state (Durable.node durable) = before))
 
 (* ---------- multi-process daemons ---------- *)
 
@@ -1746,6 +1793,8 @@ let suite =
       (test_daemon_checkpoint_every ~checkpoint_every:5 ~snapshot:true ~journal:2);
     Alcotest.test_case "daemons: checkpoint_every 0 never checkpoints" `Quick
       (test_daemon_checkpoint_every ~checkpoint_every:0 ~snapshot:false ~journal:7);
+    Alcotest.test_case "daemons: a journal past its checkpoint and 1 MiB is folded" `Quick
+      test_daemon_journal_outgrows_checkpoint;
     Alcotest.test_case "daemons: quiet pair reuses its session connections" `Quick
       test_daemon_quiet_pair_reuses_connections;
     Alcotest.test_case "daemons: quiet sessions allocate nothing major" `Quick

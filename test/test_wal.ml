@@ -397,6 +397,45 @@ let test_durable_appends_after_torn_tail () =
           Durable.close d))
     [ ("torn in its trailer", fun frame -> frame - 2); ("torn in its header", fun _ -> 2) ]
 
+(* [disk_bytes] counts in memory what the files hold: after a
+   group-commit batch and its sync, after a checkpoint, and after a
+   reopen over a torn tail, where the journal counts the intact prefix
+   that open cut it to. *)
+let test_durable_disk_bytes_match_files () =
+  let file_size path = if Sys.file_exists path then (Unix.stat path).Unix.st_size else 0 in
+  with_temp_dir (fun dir ->
+      let wal_path = Filename.concat dir "node.wal" in
+      let check what d =
+        Alcotest.(check (pair int int))
+          (what ^ ": (journal, snapshot) as on disk")
+          (file_size wal_path, file_size (Filename.concat dir "node.snap"))
+          (Durable.disk_bytes d)
+      in
+      let d = reopen ~dir ~id:0 ~n:2 in
+      Durable.set_group_commit d true;
+      for i = 0 to 9 do
+        Durable.update d (Printf.sprintf "k%d" i) (set (String.make (10 * i) 'v'))
+      done;
+      Durable.sync d;
+      check "group-commit appends, synced" d;
+      Durable.checkpoint d;
+      check "checkpoint" d;
+      Alcotest.(check bool) "a snapshot is counted" true (snd (Durable.disk_bytes d) > 0);
+      Durable.update d "x" (set "v1");
+      Durable.update d "x" (set "v2");
+      Durable.sync d;
+      check "appends after the checkpoint" d;
+      Durable.close d;
+      let data = In_channel.with_open_bin wal_path In_channel.input_all in
+      Out_channel.with_open_bin wal_path (fun oc ->
+          output_string oc (String.sub data 0 (String.length data - 2)));
+      let d, replay = ok (Durable.open_or_create ~dir ~id:0 ~n:2 ()) in
+      Alcotest.(check bool) "torn tail reported" true replay.Wal.torn_tail;
+      Alcotest.(check int) "the journal counts the intact prefix" replay.Wal.intact
+        (fst (Durable.disk_bytes d));
+      check "reopen over a torn tail" d;
+      Durable.close d)
+
 (* ---------- Realtime push vs. durability (DESIGN.md §10) ---------- *)
 
 (* A remote origin plus one captured push-stream update for it. *)
@@ -872,6 +911,8 @@ let suite =
     Alcotest.test_case "adler32 worst-case bytes" `Quick test_adler32_worst_case_bytes;
     Alcotest.test_case "durable: recover updates" `Quick
       test_durable_fresh_and_recover_updates;
+    Alcotest.test_case "durable: disk_bytes match the files" `Quick
+      test_durable_disk_bytes_match_files;
     Alcotest.test_case "durable: checkpoint resets journal" `Quick
       test_durable_checkpoint_resets_journal;
     Alcotest.test_case "durable: recover accepted propagation" `Quick
