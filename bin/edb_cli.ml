@@ -869,16 +869,6 @@ let serve_cmd =
           ~doc:"Seconds between anti-entropy pulls from a random peer.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S" ~doc:"PRNG seed.") in
-  let checkpoint_every =
-    Arg.(
-      value & opt int 0
-      & info [ "checkpoint-every" ] ~docv:"K"
-          ~doc:
-            "Also checkpoint when the journal reaches K records (0: no such bound). \
-             Without it the daemon still checkpoints at a tick once its journal is larger \
-             than both its checkpoint and 1 MiB, once after a restart's catch-up round, \
-             and before it binds when the journal is larger than its checkpoint.")
-  in
   let max_runtime =
     Arg.(
       value
@@ -908,7 +898,7 @@ let serve_cmd =
         | Error m ->
           Error (`Msg (Printf.sprintf "bad --peer %S: %s" s m))))
   in
-  let run id n dir listen peers ae_period seed checkpoint_every max_runtime max_sessions =
+  let run id n dir listen peers ae_period seed max_runtime max_sessions =
     match Socket_transport.addr_of_string listen with
     | Error m -> `Error (true, "bad --listen: " ^ m)
     | Ok listen -> (
@@ -923,7 +913,7 @@ let serve_cmd =
       | Error m -> `Error (true, m)
       | Ok peers -> (
         let config =
-          Daemon.Config.make ~ae_period ~seed ~checkpoint_every ?max_runtime
+          Daemon.Config.make ~ae_period ~seed ?max_runtime
             ~max_sessions ~id ~n ~dir ~listen ~peers ()
         in
         match Daemon.serve config with
@@ -935,12 +925,15 @@ let serve_cmd =
        ~doc:
          "Run one protocol node as a daemon: a durable node (WAL + \
           checkpoints) served over Unix-domain or TCP sockets, answering \
-          propagation requests, applying pushes, and pulling from a random \
-          peer on an anti-entropy timer.")
+          propagation requests and pulling from its peers on an \
+          anti-entropy timer. It checkpoints at a tick once its journal is \
+          larger than both its checkpoint and 1 MiB, once after a \
+          restart's catch-up round, and before it binds when the journal is \
+          larger than its checkpoint.")
     Term.(
       ret
-        (const run $ id $ n $ dir $ listen $ peers $ ae_period $ seed
-       $ checkpoint_every $ max_runtime $ max_sessions))
+        (const run $ id $ n $ dir $ listen $ peers $ ae_period $ seed $ max_runtime
+       $ max_sessions))
 
 (* ------------------------------------------------------------------ *)
 (* cluster                                                             *)

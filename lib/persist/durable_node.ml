@@ -2,22 +2,11 @@ module Node = Edb_core.Node
 module Message = Edb_core.Message
 module Fault = Edb_fault.Fault
 
-type membership_op = Extend of { name : int } | Retire of { slot : int; name : int }
-
 type t = {
-  (* Mutable: membership reshapes (dimension extension on join, component
-     retirement) replace the node wholesale — every vector is rebuilt. *)
-  mutable node : Node.t;
+  node : Node.t;
   dir : string;
   mutable wal : Wal.writer;
   mutable journal_records : int;
-  (* Membership ops applied since the last checkpoint, oldest first:
-     the replayed ones plus any appended by this process. Recovery hands
-     them to the membership layer so it can rebuild its view (epoch,
-     roster) and re-judge any standing retirement fence from the
-     recovered DBVVs — acknowledgements are deliberately not persisted,
-     exactly as AcceptPropagation re-judges freshness on replay. *)
-  mutable membership : membership_op list;
   (* Group commit (opt-in, daemon event loop): with [group_commit] set,
      [journal] appends without flushing and [sync] releases the whole
      batch with one flush. [unsynced] counts records owed to the next
@@ -56,38 +45,7 @@ let encode_reply ?wire ~source reply =
       | None -> Wire_v2.encode_propagation_reply w reply);
       Codec.Writer.contents w)
 
-let encode_oob ~source reply =
-  Codec.Writer.with_scratch (fun w ->
-      Codec.Writer.int w 2;
-      Codec.Writer.int w source;
-      Wire.encode_oob_reply w reply;
-      Codec.Writer.contents w)
-
-let encode_push ~source (u : Message.push_update) =
-  Codec.Writer.with_scratch (fun w ->
-      Codec.Writer.int w 3;
-      Codec.Writer.int w source;
-      Codec.Writer.string w u.item;
-      Codec.Writer.int w u.seq;
-      Wire.encode_vv w u.ivv;
-      Codec.Writer.string w u.value;
-      Codec.Writer.contents w)
-
-let encode_membership op =
-  Codec.Writer.with_scratch (fun w ->
-      Codec.Writer.int w 4;
-      (match op with
-      | Extend { name } ->
-        Codec.Writer.int w 0;
-        Codec.Writer.int w name
-      | Retire { slot; name } ->
-        Codec.Writer.int w 1;
-        Codec.Writer.int w slot;
-        Codec.Writer.int w name);
-      Codec.Writer.contents w)
-
-let apply_journal_record node_ref membership r =
-  let node = !node_ref in
+let apply_journal_record node r =
   (match Codec.Reader.int r with
   | 0 ->
     let item = Codec.Reader.string r in
@@ -101,37 +59,6 @@ let apply_journal_record node_ref membership r =
     in
     let (_ : Node.accept_result) = Node.accept_propagation node ~source reply in
     ()
-  | 2 ->
-    let source = Codec.Reader.int r in
-    let reply = Wire.decode_oob_reply r in
-    let (_ : Node.oob_result) = Node.accept_out_of_bound node ~source reply in
-    ()
-  | 3 ->
-    let source = Codec.Reader.int r in
-    let item = Codec.Reader.string r in
-    let seq = Codec.Reader.int r in
-    let ivv = Wire.decode_vv r in
-    let value = Codec.Reader.string r in
-    let (_ : [ `Applied | `Stale ]) =
-      Node.apply_push node ~source { Message.item; seq; ivv; value }
-    in
-    ()
-  | 4 ->
-    (* Membership reshape: mechanical vector surgery, replayed exactly
-       like any other committed record. The journal append was the
-       commit point, so recovery lands on the post-reshape geometry and
-       every later journaled reply decodes against the right dimension. *)
-    (match Codec.Reader.int r with
-    | 0 ->
-      let name = Codec.Reader.int r in
-      node_ref := Node.extend_dimension node;
-      membership := Extend { name } :: !membership
-    | 1 ->
-      let slot = Codec.Reader.int r in
-      let name = Codec.Reader.int r in
-      node_ref := Node.retire_component node ~slot;
-      membership := Retire { slot; name } :: !membership
-    | op -> raise (Codec.Reader.Corrupt (Printf.sprintf "unknown membership op %d" op)))
   | tag -> raise (Codec.Reader.Corrupt (Printf.sprintf "unknown journal tag %d" tag)));
   Codec.Reader.expect_end r
 
@@ -155,13 +82,13 @@ let finish_checkpoint dir =
   end
   else if Sys.file_exists tmp then Sys.remove tmp
 
-let open_or_create ?policy ?mode ?(shards = 1) ~dir ~id ~n () =
+let open_or_create ?(shards = 1) ~dir ~id ~n () =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   finish_checkpoint dir;
   let from_checkpoint =
     if Sys.file_exists (snapshot_path dir) then
-      Snapshot.load ?policy ?mode ~path:(snapshot_path dir) ()
-    else Ok (Node.create ?policy ?mode ~shards ~id ~n ())
+      Snapshot.load ~path:(snapshot_path dir) ()
+    else Ok (Node.create ~shards ~id ~n ())
   in
   match from_checkpoint with
   | Error _ as e -> e
@@ -175,12 +102,7 @@ let open_or_create ?policy ?mode ?(shards = 1) ~dir ~id ~n () =
         (Printf.sprintf "checkpoint has %d shards, requested %d" (Node.shards node)
            shards)
     else (
-      let node_ref = ref node in
-      let membership = ref [] in
-      match
-        Wal.replay_blobs ~path:(journal_path ~dir)
-          ~f:(apply_journal_record node_ref membership)
-      with
+      match Wal.replay_blobs ~path:(journal_path ~dir) ~f:(apply_journal_record node) with
       | Error _ as e -> e
       | exception Codec.Reader.Corrupt msg -> Error ("corrupt journal record: " ^ msg)
       | Ok replay_result ->
@@ -196,11 +118,10 @@ let open_or_create ?policy ?mode ?(shards = 1) ~dir ~id ~n () =
         in
         Ok
           ( {
-              node = !node_ref;
+              node;
               dir;
               wal;
               journal_records = replay_result.records;
-              membership = List.rev !membership;
               group_commit = false;
               unsynced = 0;
               journal_bytes = replay_result.intact;
@@ -268,43 +189,6 @@ let accept_reply ?wire t ~source reply =
   let (_ : Node.accept_result) = commit_reply ?wire t ~source reply in
   ()
 
-let apply_push t ~source update =
-  (* Same journal-before-apply discipline as pull_from. The push itself
-     is volatile, but once applied it becomes part of this node's state
-     and later journaled AE replies assume it — so the application must
-     be redoable from the WAL or recovery would replay those replies
-     against a state missing the pushed update (breaking the per-origin
-     prefix property). Journaling a stale push is harmless: replay
-     re-judges freshness and drops it again. *)
-  Fault.hit "durable.journal.before";
-  journal t (encode_push ~source update);
-  Fault.hit "durable.apply.before";
-  Node.apply_push t.node ~source update
-
-let fetch_out_of_bound_from t ~source item =
-  let reply = Node.serve_out_of_bound source { Message.item } in
-  journal t (encode_oob ~source:(Node.id source) reply);
-  Node.accept_out_of_bound t.node ~source:(Node.id source) reply
-
-let extend_dimension t ~name =
-  (* Journal-before-apply, same commit discipline as pull_from: a crash
-     before the append loses the reshape entirely (the membership layer
-     re-issues it), a crash after it replays the reshape on recovery. *)
-  Fault.hit "durable.journal.before";
-  journal t (encode_membership (Extend { name }));
-  Fault.hit "durable.apply.before";
-  t.node <- Node.extend_dimension t.node;
-  t.membership <- t.membership @ [ Extend { name } ]
-
-let retire_component t ~slot ~name =
-  Fault.hit "durable.journal.before";
-  journal t (encode_membership (Retire { slot; name }));
-  Fault.hit "durable.apply.before";
-  t.node <- Node.retire_component t.node ~slot;
-  t.membership <- t.membership @ [ Retire { slot; name } ]
-
-let membership_log t = t.membership
-
 (* Renames only, so a crash at any step leaves files [finish_checkpoint]
    completes: never the new snapshot beside the journal it holds, whose
    replay would apply those records twice. *)
@@ -323,7 +207,6 @@ let checkpoint t =
   t.wal <- Wal.open_writer ~path:journal;
   t.journal_records <- 0;
   t.journal_bytes <- 0;
-  t.membership <- [];
   Fault.hit "checkpoint.journal.dropped"
 
 let disk_bytes t = (t.journal_bytes, t.snapshot_bytes)

@@ -1,12 +1,11 @@
 (** A protocol node with crash-consistent durability.
 
     Combines {!Snapshot} checkpoints with a {!Wal} redo journal: every
-    state-mutating protocol step — user updates, accepted propagation
-    replies, adopted out-of-bound replies — is journaled {e before}
-    being applied, and {!checkpoint} folds the journal into a fresh
-    snapshot. {!open_or_create} recovers by loading the latest
-    checkpoint and re-executing the journal, reconstructing the exact
-    pre-crash state.
+    state-mutating protocol step — user updates and accepted
+    propagation replies — is journaled {e before} being applied, and
+    {!checkpoint} folds the journal into a fresh snapshot.
+    {!open_or_create} recovers by loading the latest checkpoint and
+    re-executing the journal, reconstructing the exact pre-crash state.
 
     Exactness matters for more than durability: a node's update
     sequence numbers are globally meaningful (other replicas may
@@ -16,16 +15,20 @@
     checkpoint.
 
     Each journal record is one session effect, tagged:
-    - 0: a user update;
-    - 2: an adopted out-of-bound reply;
-    - 3: a push (applied or stale);
-    - 4: a membership reshape;
+    - 0: a user update, in the {!Wire} v1 codec (as are snapshots);
     - 5: a propagation reply, as its {!Wire_v2} body (decoded at replay
-      against the node's dimension at that point of the journal);
+      against the node's dimension);
     - 1: a propagation reply in the fixed-width {!Wire} v1 form. Older
       builds wrote it; it is replayed, never written, so their journals
       still open.
-    Tags 0, 2, 3 and 4 use the v1 codec, as do snapshots.
+
+    {b Compatibility break.} Older builds also defined tag 2 (an
+    adopted out-of-bound reply), tag 3 (a received push) and tag 4 (a
+    membership reshape). No daemon ever wrote them: [edb_cli serve] has
+    no out-of-bound or membership path and never had a flag that
+    turned push on. A journal holding one now fails {!open_or_create}
+    with [Error "corrupt journal record: unknown journal tag N"], and
+    the journal file is left as it was.
 
     {b The no-op rule.} A propagation reply that would change nothing
     ({!Edb_core.Node.reply_is_noop}: every shipped item's IVV equals the
@@ -45,15 +48,7 @@
 
 type t
 
-type membership_op =
-  | Extend of { name : int }
-      (** Dimension grew by one for the joining site [name]. *)
-  | Retire of { slot : int; name : int }
-      (** Component [slot] (retired site [name]) was dropped. *)
-
 val open_or_create :
-  ?policy:Edb_core.Node.resolution_policy ->
-  ?mode:Edb_core.Node.propagation_mode ->
   ?shards:int ->
   dir:string ->
   id:int ->
@@ -66,12 +61,7 @@ val open_or_create :
     [id]/[n]/[shards] (default 1). The replay result reports recovered
     records and whether a torn tail was discarded; a discarded tail is
     also cut from the journal file, so records appended after it are
-    replayed next time.
-
-    [id] and [n] name the {e checkpoint} geometry: journaled membership
-    reshapes (tag-4 records) replay on top of it, so the recovered
-    {!node} may end at a different dimension or id — inspect it, and
-    {!membership_log}, after opening. *)
+    replayed next time. An [Error] never changes the journal file. *)
 
 val journal_path : dir:string -> string
 (** The journal file {!open_or_create} keeps under [dir]. *)
@@ -99,42 +89,6 @@ val accept_reply :
     ({!Frame.decode_reply_with_body}): the record then holds those
     bytes as they are instead of a re-encoding, which is the same
     bytes for a frame this build encoded. *)
-
-val fetch_out_of_bound_from :
-  t -> source:Edb_core.Node.t -> string -> Edb_core.Node.oob_result
-(** One out-of-bound fetch; the reply is journaled, then accepted. *)
-
-val apply_push :
-  t -> source:int -> Edb_core.Message.push_update -> [ `Applied | `Stale ]
-(** A received push, journaled before the freshness check. The push
-    channel itself is volatile, but an {e applied} push changes state
-    that later journaled AE replies build on — skipping the journal
-    would leave recovery replaying those replies against a state
-    missing the push. Stale pushes are journaled too (replay re-judges
-    and drops them); a run with push disabled appends no tag-3 records,
-    so its WAL stays byte-identical to pre-push builds. *)
-
-val extend_dimension : t -> name:int -> unit
-(** Journal, then apply, the join reshape: every vector gains a zero
-    component for site [name] (see [Edb_core.Node.extend_dimension]).
-    The journal append is the commit point — a crash before it loses
-    the reshape (the membership layer re-issues it), a crash after it
-    replays the reshape on recovery. *)
-
-val retire_component : t -> slot:int -> name:int -> unit
-(** Journal, then apply, the retirement reshape: component [slot]
-    (retired site [name]) is dropped from every vector (see
-    [Edb_core.Node.retire_component]). Same commit discipline as
-    {!extend_dimension}. Fence {e acknowledgements} are deliberately
-    not journaled: recovery re-judges any standing fence from the
-    recovered DBVVs, the same way replayed AE replies re-judge
-    freshness. *)
-
-val membership_log : t -> membership_op list
-(** Membership reshapes applied since the last checkpoint, oldest
-    first — the replayed tag-4 records plus any appended by this
-    process. After a crash the membership layer uses this to rebuild
-    its view (epoch, roster) before re-judging fences. *)
 
 val set_group_commit : t -> bool -> unit
 (** Switch group commit on or off (default off). While on, journal

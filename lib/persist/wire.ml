@@ -148,19 +148,3 @@ let decode_propagation_request r =
   let recipient_dbvv = decode_vv r in
   let recipient_shard_dbvvs = Codec.Reader.array r decode_vv in
   { Message.recipient; recipient_dbvv; recipient_shard_dbvvs }
-
-let encode_oob_request w (req : Message.oob_request) =
-  Codec.Writer.string w req.item
-
-let decode_oob_request r = { Message.item = Codec.Reader.string r }
-
-let encode_oob_reply w (reply : Message.oob_reply) =
-  Codec.Writer.string w reply.item;
-  Codec.Writer.string w reply.value;
-  encode_vv w reply.ivv
-
-let decode_oob_reply r =
-  let item = Codec.Reader.string r in
-  let value = Codec.Reader.string r in
-  let ivv = decode_vv r in
-  { Message.item; value; ivv }

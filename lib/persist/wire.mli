@@ -9,11 +9,7 @@ val decode_operation : Codec.Reader.t -> Edb_store.Operation.t
 
 val encode_vv : Codec.Writer.t -> Edb_vv.Version_vector.t -> unit
 
-val decode_vv : Codec.Reader.t -> Edb_vv.Version_vector.t
-
 val encode_log_record : Codec.Writer.t -> Edb_log.Log_record.t -> unit
-
-val decode_log_record : Codec.Reader.t -> Edb_log.Log_record.t
 
 val encode_shipped_item : Codec.Writer.t -> Edb_core.Message.shipped_item -> unit
 
@@ -32,11 +28,3 @@ val encode_propagation_request :
 
 val decode_propagation_request :
   Codec.Reader.t -> Edb_core.Message.propagation_request
-
-val encode_oob_request : Codec.Writer.t -> Edb_core.Message.oob_request -> unit
-
-val decode_oob_request : Codec.Reader.t -> Edb_core.Message.oob_request
-
-val encode_oob_reply : Codec.Writer.t -> Edb_core.Message.oob_reply -> unit
-
-val decode_oob_reply : Codec.Reader.t -> Edb_core.Message.oob_reply

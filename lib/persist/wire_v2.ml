@@ -377,25 +377,6 @@ let decode_propagation_request r ~n ~resolve =
   ({ Message.recipient; recipient_dbvv; recipient_shard_dbvvs }, used_baseline)
 
 (* ------------------------------------------------------------------ *)
-(* Out-of-bound fetches                                                *)
-(* ------------------------------------------------------------------ *)
-
-let encode_oob_request w (req : Message.oob_request) = W.vstring w req.item
-
-let decode_oob_request r = { Message.item = R.vstring r }
-
-let encode_oob_reply w (reply : Message.oob_reply) =
-  W.vstring w reply.item;
-  W.vstring w reply.value;
-  encode_vv w reply.ivv
-
-let decode_oob_reply r ~n =
-  let item = R.vstring r in
-  let value = R.vstring r in
-  let ivv = decode_vv r ~n in
-  { Message.item; value; ivv }
-
-(* ------------------------------------------------------------------ *)
 (* Push batches (best-effort realtime stream)                          *)
 (* ------------------------------------------------------------------ *)
 

@@ -20,23 +20,6 @@ val encode_vv : Codec.Writer.t -> Edb_vv.Version_vector.t -> unit
 
 val decode_vv : Codec.Reader.t -> n:int -> Edb_vv.Version_vector.t
 
-val encode_vv_delta :
-  Codec.Writer.t ->
-  baseline:Edb_vv.Version_vector.t ->
-  Edb_vv.Version_vector.t ->
-  unit
-(** The sparse encoding of [vv - baseline]. [Invalid_argument] unless
-    [vv] dominates or equals [baseline] (the caller checks first and
-    falls back to {!encode_vv}). *)
-
-val decode_vv_delta :
-  Codec.Reader.t -> baseline:Edb_vv.Version_vector.t -> Edb_vv.Version_vector.t
-
-val vv_checksum : Edb_vv.Version_vector.t -> int
-(** A cheap 30-bit commitment to a vector's contents, shipped with the
-    baseline id in delta requests so a baseline mixup surfaces as
-    {!Codec.Reader.Corrupt} instead of a wrong reconstruction. *)
-
 val encode_operation : Codec.Writer.t -> Edb_store.Operation.t -> unit
 
 val decode_operation : Codec.Reader.t -> Edb_store.Operation.t
@@ -54,8 +37,9 @@ val encode_propagation_request :
   unit
 (** [baseline] is [(id, vv)] of a request the peer has acknowledged;
     when given and dominated by the current DBVV, the request ships the
-    delta form tagged with [id] and {!vv_checksum}; otherwise the
-    absolute sparse form. *)
+    delta form (the sparse encoding of [vv - baseline]) tagged with
+    [id] and a 30-bit checksum of the baseline; otherwise the absolute
+    sparse form. *)
 
 val decode_propagation_request :
   Codec.Reader.t ->
@@ -68,14 +52,6 @@ val decode_propagation_request :
     transports answer that with a Nak and the requester falls back to
     an absolute vector. Returns the request and the baseline id it was
     decoded against, if any. *)
-
-val encode_oob_request : Codec.Writer.t -> Edb_core.Message.oob_request -> unit
-
-val decode_oob_request : Codec.Reader.t -> Edb_core.Message.oob_request
-
-val encode_oob_reply : Codec.Writer.t -> Edb_core.Message.oob_reply -> unit
-
-val decode_oob_reply : Codec.Reader.t -> n:int -> Edb_core.Message.oob_reply
 
 val encode_push : Codec.Writer.t -> Edb_core.Message.push_update list -> unit
 (** A push batch: [varint count], then per update the interned item

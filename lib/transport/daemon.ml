@@ -16,7 +16,7 @@ module Fault = Edb_fault.Fault
 (* One protocol node as a process: a {!Durable_node} (WAL + checkpoint)
    served over a {!Socket_transport} select loop. The daemon is both
    sides of the protocol at once — it answers inbound requests and
-   pushes, and runs its own anti-entropy timer as the initiator — and
+   runs its own anti-entropy timer as the initiator — and
    nothing in the loop may block: each anti-entropy round pulls from up
    to [max_sessions] peers one after another (a table of per-peer
    {!Transport.Initiator} machines, each just another fd in the select
@@ -42,13 +42,12 @@ module Config = struct
     ae_period : float;
     retry : Transport.retry_policy;
     seed : int;
-    checkpoint_every : int;
     max_runtime : float option;
     max_sessions : int;
   }
 
   let make ?(ae_period = 0.05) ?(retry = { Transport.default_retry_policy with timeout = 0.5 })
-      ?(seed = 1) ?(checkpoint_every = 0) ?max_runtime ?(max_sessions = 4) ~id ~n
+      ?(seed = 1) ?max_runtime ?(max_sessions = 4) ~id ~n
       ~dir ~listen ~peers () =
     {
       id;
@@ -59,7 +58,6 @@ module Config = struct
       ae_period;
       retry;
       seed;
-      checkpoint_every;
       max_runtime;
       max_sessions = max 1 max_sessions;
     }
@@ -179,8 +177,7 @@ type t = {
   transport : T.t;
   prng : Prng.t;
   started : float;
-  (* Accepted connections: peers' sessions and push streams, control
-     clients. Non-blocking; a freshly accepted one is anonymous
+  (* Accepted connections: peers' sessions and control clients. Non-blocking; a freshly accepted one is anonymous
      ([T.peer conn = -1]) until its handshake arrives via read. *)
   mutable conns : T.conn list;
   (* Initiator sessions in flight or in backoff, keyed by peer: the
@@ -421,13 +418,7 @@ let handle_server_record t conn record =
     (* The peer cache is indexed by the fixed dimension; frames from
        outside it (control clients, confused peers) are dropped. *)
     if peer >= 0 && peer < t.config.Config.n && peer <> t.config.Config.id then (
-      match
-        Transport.serve_frame
-          ~apply_push:(fun ~source u ->
-            let (_ : [ `Applied | `Stale ]) = Durable_node.apply_push t.durable ~source u in
-            ())
-          (node t) ~src:peer frame
-      with
+      match Transport.serve_frame (node t) ~src:peer frame with
       | None -> ()
       | Some reply -> send_reply t conn ~peer ~request:frame reply)
 
@@ -585,9 +576,6 @@ let step t =
     compact_at_tick t;
     if t.config.Config.n > 1 then start_round t
   end;
-  if t.config.Config.checkpoint_every > 0
-     && Durable_node.journal_records t.durable >= t.config.Config.checkpoint_every
-  then Durable_node.checkpoint t.durable;
   (match t.config.Config.max_runtime with
   | Some limit when now -. t.started >= limit -> t.quit <- true
   | _ -> ());

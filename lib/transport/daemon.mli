@@ -3,10 +3,9 @@
     {!Socket_transport} select loop — the `edb_cli serve` engine.
 
     The daemon is both protocol sides at once, and nothing in its loop
-    blocks. Passively it answers requests (reply or nak) and applies
-    pushes a peer sends, journaling before applying; it sends none
-    itself, since pull anti-entropy alone delivers every update (paper
-    Theorem 5). Actively each anti-entropy
+    blocks. Passively it answers requests (reply or nak); a push frame
+    drops like a stray reply, since pull anti-entropy alone delivers
+    every update (paper Theorem 5). Actively each anti-entropy
     tick starts a round: up to [max_sessions] distinct random peers
     with no session in flight, pulled one after another. The first is
     asked at once, each later one when the session before it ends
@@ -54,10 +53,6 @@ module Config : sig
     ae_period : float;  (** Seconds between anti-entropy rounds. *)
     retry : Transport.retry_policy;
     seed : int;  (** Peer choice and backoff jitter PRNG seed. *)
-    checkpoint_every : int;
-        (** Checkpoint when the journal reaches this many records;
-            [0] disables this bound (the size rule and a reopen's own
-            compactions, see {!create}, still run). *)
     max_runtime : float option;
         (** Self-terminate after this many seconds — the timeout
             guard for scripted runs. *)
@@ -70,7 +65,6 @@ module Config : sig
     ?ae_period:float ->
     ?retry:Transport.retry_policy ->
     ?seed:int ->
-    ?checkpoint_every:int ->
     ?max_runtime:float ->
     ?max_sessions:int ->
     id:int ->
@@ -81,11 +75,8 @@ module Config : sig
     unit ->
     t
   (** Defaults: 50 ms anti-entropy, the default retry policy tightened
-      to a 0.5 s per-attempt timeout, no record-count checkpoint
-      (a tick still checkpoints once the journal outgrows its
-      checkpoint and 1 MiB, a reopen once after its catch-up round,
-      and before it binds when its journal outgrew its checkpoint, see
-      {!create}), no runtime bound, 4 peers per round. *)
+      to a 0.5 s per-attempt timeout, no runtime bound, 4 peers per
+      round. Checkpoints need no setting (see {!create}). *)
 end
 
 (** The client-facing control protocol: one {!Edb_persist.Codec}
@@ -157,10 +148,7 @@ val create : Config.t -> (t, string) result
     one tick's appends, and each checkpoint writes at most one snapshot
     byte per journal byte appended since the last one. The byte counts
     are kept in memory ({!Edb_persist.Durable_node.disk_bytes}), so the
-    test costs no system call. None of these rules needs a setting;
-    [checkpoint_every] adds a bound by record count. The daemon has no
-    membership layer, so folding the journal's membership log into the
-    snapshot loses nothing. *)
+    test costs no system call. None of these rules needs a setting. *)
 
 val node : t -> Edb_core.Node.t
 
@@ -173,7 +161,7 @@ val refused_replies : t -> int
 
 val step : t -> unit
 (** One select-loop iteration: fire due timers (anti-entropy session,
-    session deadline or backoff, post-catch-up, size-rule or periodic
+    session deadline or backoff, post-catch-up or size-rule
     checkpoint), then wait briefly for readiness and service every
     readable connection. *)
 

@@ -2,7 +2,6 @@ module Node = Edb_core.Node
 module Message = Edb_core.Message
 module Counters = Edb_metrics.Counters
 module Frame = Edb_persist.Frame
-module Codec = Edb_persist.Codec
 
 (* The transport seam (DESIGN.md §12). Everything a delivery substrate
    needs to carry the protocol lives here — the retry policy, its
@@ -195,25 +194,14 @@ let frame_kind frame =
     | 3 -> Some `Push
     | _ -> None
 
-let serve_frame ?apply_push node ~src frame =
-  let apply_push =
-    match apply_push with
-    | Some f -> f
-    | None ->
-      fun ~source u ->
-        let (_ : [ `Applied | `Stale ]) = Node.apply_push node ~source u in
-        ()
-  in
+let serve_frame node ~src frame =
   match frame_kind frame with
   | Some `Request ->
     (* [respond] answers an undecodable request with a nak itself. *)
     Some (Frame.respond node ~src frame)
-  | Some `Push ->
-    (try List.iter (apply_push ~source:src) (Frame.decode_push node ~src frame)
-     with Codec.Reader.Corrupt _ -> ());
-    None
-  | Some (`Reply | `Nak) | None ->
+  | Some (`Reply | `Nak | `Push) | None ->
     (* Replies and naks outside a session context — late duplicates of a
-       completed session — and garbage both drop silently; anti-entropy
-       repairs whatever they would have carried. *)
+       completed session — pushes, which no durable node applies, and
+       garbage all drop silently; anti-entropy repairs whatever they
+       would have carried. *)
     None

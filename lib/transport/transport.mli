@@ -171,15 +171,12 @@ end
 val frame_kind : string -> [ `Request | `Reply | `Nak | `Push ] option
 (** Peek a frame's kind from its header byte; [None] for garbage. *)
 
-val serve_frame :
-  ?apply_push:(source:int -> Edb_core.Message.push_update -> unit) ->
-  Edb_core.Node.t ->
-  src:int ->
-  string ->
-  string option
+val serve_frame : Edb_core.Node.t -> src:int -> string -> string option
 (** The passive (server) side of frame dispatch: a request is answered
     (reply or nak) through {!Edb_persist.Frame.respond} — the returned
-    frame should go back on the same connection — a push is decoded and
-    applied (via [apply_push] when given, so a durable node can journal
-    it), and anything else (late replies, garbage) drops silently,
-    repaired by anti-entropy. *)
+    frame should go back on the same connection — and anything else
+    (late replies, pushes, garbage) drops silently, repaired by
+    anti-entropy. A push is not applied: applying it without
+    journaling it would ack state a crash loses, and pull anti-entropy
+    alone delivers every update (paper Theorem 5). The simulator's
+    push receive path is [Edb_core.Node.apply_push], not this. *)

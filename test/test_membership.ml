@@ -1,6 +1,6 @@
 (* Dynamic membership: join, graceful leave, dead-node retirement with
-   version-vector GC, the crash-safe durable reshape records, and the
-   randomized membership-equivalence explorer. *)
+   version-vector GC, and the randomized membership-equivalence
+   explorer. *)
 
 module Group = Edb_membership.Group
 module Node = Edb_core.Node
@@ -9,9 +9,7 @@ module Peer_cache = Edb_core.Peer_cache
 module Operation = Edb_store.Operation
 module Counters = Edb_metrics.Counters
 module Vv = Edb_vv.Version_vector
-module Durable = Edb_persist.Durable_node
 module Explorer = Edb_check.Explorer
-module Fault = Edb_fault.Fault
 
 let set v = Operation.Set v
 
@@ -243,89 +241,6 @@ let test_vv_surgery_bounds () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "removed the last component"
 
-(* ---------- Durable membership records (tag 4) ---------- *)
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "edb-member" "" in
-  Sys.remove dir;
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter (fun x -> Sys.remove (Filename.concat dir x)) (Sys.readdir dir);
-        Sys.rmdir dir
-      end)
-    (fun () -> f dir)
-
-let reopen ~dir ~id ~n =
-  match Durable.open_or_create ~dir ~id ~n () with
-  | Ok (d, _) -> d
-  | Error msg -> Alcotest.fail msg
-
-let test_durable_membership_replay () =
-  with_temp_dir (fun dir ->
-      let d = reopen ~dir ~id:0 ~n:3 in
-      Durable.update d "k" (set "v");
-      Durable.extend_dimension d ~name:3;
-      Durable.update d "k" (set "v2");
-      Durable.retire_component d ~slot:1 ~name:1;
-      Alcotest.(check int) "post-reshape dimension" 3
-        (Node.dimension (Durable.node d));
-      Durable.close d;
-      (* Recovery replays the tag-4 records on the n=3 checkpoint and
-         lands on the post-reshape geometry. *)
-      let d = reopen ~dir ~id:0 ~n:3 in
-      Alcotest.(check int) "recovered dimension" 3 (Node.dimension (Durable.node d));
-      Alcotest.(check (option string)) "recovered value" (Some "v2")
-        (Node.read (Durable.node d) "k");
-      (match Durable.membership_log d with
-      | [ Durable.Extend { name = 3 }; Durable.Retire { slot = 1; name = 1 } ] -> ()
-      | _ -> Alcotest.fail "membership log not recovered");
-      (match Node.check_invariants (Durable.node d) with
-      | Ok () -> ()
-      | Error msg -> Alcotest.fail msg);
-      (* A checkpoint folds the reshapes in: reopening now needs the
-         post-reshape geometry and an empty membership log. *)
-      Durable.checkpoint d;
-      Alcotest.(check (list (of_pp Fmt.nop))) "membership log reset" []
-        (Durable.membership_log d);
-      Durable.close d;
-      let d = reopen ~dir ~id:0 ~n:3 in
-      Alcotest.(check int) "checkpointed dimension" 3
-        (Node.dimension (Durable.node d));
-      Durable.close d)
-
-(* Crash-atomicity around the reshape: before the journal append the
-   reshape is lost entirely (the membership layer re-issues it); after
-   it, recovery replays the reshape. Never a torn middle. *)
-let test_durable_membership_crash_windows () =
-  List.iter
-    (fun (fault, reshaped_after_recovery) ->
-      with_temp_dir (fun dir ->
-          Fault.clear ();
-          let d = reopen ~dir ~id:0 ~n:3 in
-          Durable.update d "k" (set "v");
-          let crashed =
-            try
-              Fault.with_point fault (fun () ->
-                  Durable.extend_dimension d ~name:3;
-                  false)
-            with Fault.Injected _ -> true
-          in
-          Alcotest.(check bool) (fault ^ " fired") true crashed;
-          let d' = reopen ~dir ~id:0 ~n:3 in
-          let expected = if reshaped_after_recovery then 4 else 3 in
-          Alcotest.(check int)
-            (fault ^ ": recovered dimension")
-            expected
-            (Node.dimension (Durable.node d'));
-          Alcotest.(check (option string)) (fault ^ ": data intact") (Some "v")
-            (Node.read (Durable.node d') "k");
-          (match Node.check_invariants (Durable.node d') with
-          | Ok () -> ()
-          | Error msg -> Alcotest.fail msg);
-          Durable.close d'))
-    [ ("durable.journal.before", false); ("durable.apply.before", true) ]
-
 (* ---------- Randomized equivalence (the tentpole property) ---------- *)
 
 let expect_pass label = function
@@ -360,10 +275,6 @@ let suite =
     Alcotest.test_case "replace_node errors carry ids" `Quick
       test_replace_node_errors_carry_ids;
     Alcotest.test_case "version-vector surgery bounds" `Quick test_vv_surgery_bounds;
-    Alcotest.test_case "durable membership replay" `Quick
-      test_durable_membership_replay;
-    Alcotest.test_case "durable membership crash windows" `Quick
-      test_durable_membership_crash_windows;
     Alcotest.test_case "membership equivalence" `Slow test_membership_equivalence;
     Alcotest.test_case "membership equivalence (sharded)" `Slow
       test_membership_equivalence_sharded;

@@ -104,8 +104,8 @@ let test_frame_kind () =
   Alcotest.(check bool) "push" true (Transport.frame_kind push = Some `Push);
   Alcotest.(check bool) "short garbage" true (Transport.frame_kind "ab" = None)
 
-(* The passive side: requests are answered, pushes applied, everything
-   else — late replies, naks, garbage — dropped silently. *)
+(* The passive side: requests are answered, everything else — late
+   replies, naks, pushes, garbage — dropped silently. *)
 let test_serve_frame () =
   let a, b = negotiated_pair () in
   let request = Frame.encode_request b ~dst:0 in
@@ -120,7 +120,7 @@ let test_serve_frame () =
     (Transport.serve_frame a ~src:1 reply = None);
   Alcotest.(check bool) "garbage drops" true
     (Transport.serve_frame a ~src:1 "\x02\x02\x01not a frame" = None);
-  (* A push reaches the injected application hook. *)
+  (* A push is not applied: b's state is what it was. *)
   Node.update a "x" (set "v2");
   let push =
     Frame.encode_push a ~dst:1
@@ -133,13 +133,11 @@ let test_serve_frame () =
         };
       ]
   in
-  let seen = ref [] in
+  let before = Node.export_state b in
   Alcotest.(check bool) "push produces no reply" true
-    (Transport.serve_frame
-       ~apply_push:(fun ~source u -> seen := (source, u.Message.item) :: !seen)
-       b ~src:0 push
-    = None);
-  Alcotest.(check bool) "push applied through the hook" true (!seen = [ (0, "x") ])
+    (Transport.serve_frame b ~src:0 push = None);
+  Alcotest.(check bool) "push leaves the state unchanged" true
+    (Node.export_state b = before)
 
 (* ---------- the initiator machine on a fake clock ---------- *)
 
@@ -663,11 +661,11 @@ let test_socket_send_oversized () =
 let daemon_sock dir id =
   Socket_transport.Unix_path (Filename.concat dir (Printf.sprintf "d%d.sock" id))
 
-let create_daemon ?(ae_period = 0.002) ?retry ?checkpoint_every ~dir ~id ~n peers =
+let create_daemon ?(ae_period = 0.002) ?retry ~dir ~id ~n peers =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   require
     (Daemon.create
-       (Daemon.Config.make ~ae_period ?retry ?checkpoint_every ~id ~n
+       (Daemon.Config.make ~ae_period ?retry ~id ~n
           ~dir:(Filename.concat dir (Printf.sprintf "node%d" id))
           ~listen:(daemon_sock dir id) ~peers ()))
 
@@ -1038,18 +1036,14 @@ let test_daemon_refused_control_fails () =
           (Node.read restored "x")
       | _ -> Alcotest.fail "expected the exported state")
 
-(* [checkpoint_every = K]: the turn after the K-th journaled update
-   folds the journal into node.snap, so after K + 2 acked updates the
-   journal holds only the last two. [0] turns the rule off: no
-   snapshot, and every update stays in the journal — the seven updates
-   are far under the 1 MiB floor of the size rule, which a running
-   daemon applies whatever [checkpoint_every] says. Either way a reopen
-   recovers every acked value. *)
-let test_daemon_checkpoint_every ~checkpoint_every ~snapshot ~journal () =
-  let dir = cluster_dir (Printf.sprintf "checkpoint-every-%d" checkpoint_every) in
+(* A running daemon folds no journal under the 1 MiB floor of the size
+   rule: seven acked updates leave no snapshot and all seven records in
+   the journal, and a reopen recovers every acked value. *)
+let test_daemon_small_journal_kept () =
+  let dir = cluster_dir "small-journal" in
   let node_dir = Filename.concat dir "node0" in
   let items = List.init 7 (fun i -> (Printf.sprintf "i%d" i, Printf.sprintf "v%d" i)) in
-  let d = create_daemon ~checkpoint_every ~dir ~id:0 ~n:1 [] in
+  let d = create_daemon ~dir ~id:0 ~n:1 [] in
   let client =
     require (Socket_transport.create ~id:1 ~peers:[ (0, daemon_sock dir 0) ] ())
   in
@@ -1064,14 +1058,14 @@ let test_daemon_checkpoint_every ~checkpoint_every ~snapshot ~journal () =
           Alcotest.(check bool) (item ^ " acked") true
             (control (Daemon.Control.Update { item; op = set value }) = Daemon.Control.Ack))
         items);
-  Alcotest.(check bool) "node.snap written" snapshot
+  Alcotest.(check bool) "no node.snap" false
     (Sys.file_exists (Filename.concat node_dir "node.snap"));
   let module Durable = Edb_persist.Durable_node in
   let durable, replay = require (Durable.open_or_create ~dir:node_dir ~id:0 ~n:1 ()) in
   Fun.protect
     ~finally:(fun () -> Durable.close durable)
     (fun () ->
-      Alcotest.(check int) "journal records" journal replay.Edb_persist.Wal.records;
+      Alcotest.(check int) "journal records" 7 replay.Edb_persist.Wal.records;
       List.iter
         (fun (item, value) ->
           Alcotest.(check (option string)) (item ^ " recovered") (Some value)
@@ -1789,10 +1783,8 @@ let suite =
       test_daemon_refused_reply_naks;
     Alcotest.test_case "daemons: a control reply that cannot be sent fails" `Quick
       test_daemon_refused_control_fails;
-    Alcotest.test_case "daemons: checkpoint_every 5 folds the journal" `Quick
-      (test_daemon_checkpoint_every ~checkpoint_every:5 ~snapshot:true ~journal:2);
-    Alcotest.test_case "daemons: checkpoint_every 0 never checkpoints" `Quick
-      (test_daemon_checkpoint_every ~checkpoint_every:0 ~snapshot:false ~journal:7);
+    Alcotest.test_case "daemons: no fold under the floor" `Quick
+      test_daemon_small_journal_kept;
     Alcotest.test_case "daemons: a journal past its checkpoint and 1 MiB is folded" `Quick
       test_daemon_journal_outgrows_checkpoint;
     Alcotest.test_case "daemons: quiet pair reuses its session connections" `Quick

@@ -287,25 +287,6 @@ let test_durable_recovers_accepted_propagation () =
       | Error msg -> Alcotest.fail msg);
       Durable.close d)
 
-let test_durable_recovers_oob_and_aux () =
-  with_temp_dir (fun dir ->
-      let remote = Node.create ~id:1 ~n:2 () in
-      Node.update remote "hot" (set "h1");
-      let d = reopen ~dir ~id:0 ~n:2 in
-      (match Durable.fetch_out_of_bound_from d ~source:remote "hot" with
-      | `Adopted -> ()
-      | `Already_current | `Conflict -> Alcotest.fail "expected adoption");
-      Durable.update d "hot" (set "h2");
-      Durable.close d;
-      let d = reopen ~dir ~id:0 ~n:2 in
-      let node = Durable.node d in
-      Alcotest.(check bool) "aux copy recovered" true (Node.has_aux node "hot");
-      Alcotest.(check (option string)) "aux value recovered" (Some "h2")
-        (Node.read node "hot");
-      Alcotest.(check int) "deferred update recovered" 1
-        (Edb_log.Aux_log.length (Node.aux_log node));
-      Durable.close d)
-
 let test_durable_exact_seq_reproduction () =
   (* The critical property: updates a peer already pulled keep their
      sequence numbers across recovery — the peer and the recovered node
@@ -436,115 +417,9 @@ let test_durable_disk_bytes_match_files () =
       check "reopen over a torn tail" d;
       Durable.close d)
 
-(* ---------- Realtime push vs. durability (DESIGN.md §10) ---------- *)
-
-(* A remote origin plus one captured push-stream update for it. *)
-let make_push_origin () =
-  let remote = Node.create ~id:1 ~n:2 () in
-  let buf = ref [] in
-  Node.set_update_hook remote (Some (fun u -> buf := u :: !buf));
-  Node.update remote "hot" (set "pushed");
-  match List.rev !buf with
-  | [ u ] -> (remote, u)
-  | us -> Alcotest.failf "hook fired %d times" (List.length us)
-
-(* An applied push is journaled, so it survives a crash: later
-   journaled AE replies assume the pushed update is part of the
-   per-origin prefix. *)
-let test_durable_recovers_applied_push () =
-  with_temp_dir (fun dir ->
-      let _remote, u = make_push_origin () in
-      let d = reopen ~dir ~id:0 ~n:2 in
-      Durable.update d "mine" (set "local");
-      (match Durable.apply_push d ~source:1 u with
-      | `Applied -> ()
-      | `Stale -> Alcotest.fail "fresh push judged stale");
-      Durable.close d;
-      let d = reopen ~dir ~id:0 ~n:2 in
-      Alcotest.(check (option string)) "pushed value recovered" (Some "pushed")
-        (Node.read (Durable.node d) "hot");
-      Alcotest.(check (array int)) "origin component recovered" [| 1; 1 |]
-        (Vv.to_array (Node.dbvv (Durable.node d)));
-      (match Node.check_invariants (Durable.node d) with
-      | Ok () -> ()
-      | Error msg -> Alcotest.fail msg);
-      Durable.close d)
-
-(* Crash-atomicity around apply_push: before the journal append the
-   push is invisible (it is best-effort traffic — losing it is the
-   normal case anti-entropy repairs); after the append, recovery must
-   replay it to exactly the post-push state. Never a torn middle. *)
-let test_durable_crash_mid_push () =
-  let module Fault = Edb_fault.Fault in
-  List.iter
-    (fun (fault, applied_after_recovery) ->
-      with_temp_dir (fun dir ->
-          Fault.clear ();
-          let _remote, u = make_push_origin () in
-          let d = reopen ~dir ~id:0 ~n:2 in
-          Durable.update d "mine" (set "local");
-          let pre = Node.export_state (Durable.node d) in
-          let crashed =
-            try
-              Fault.with_point fault (fun () ->
-                  ignore (Durable.apply_push d ~source:1 u);
-                  false)
-            with Fault.Injected _ -> true
-          in
-          Alcotest.(check bool) (fault ^ " fired") true crashed;
-          let d' = reopen ~dir ~id:0 ~n:2 in
-          let recovered = Node.export_state (Durable.node d') in
-          if applied_after_recovery then begin
-            Alcotest.(check (option string))
-              (fault ^ ": push replayed from the journal")
-              (Some "pushed")
-              (Node.read (Durable.node d') "hot");
-            Alcotest.(check bool) (fault ^ ": not the pre state") true
-              (recovered <> pre)
-          end
-          else begin
-            Alcotest.(check bool) (fault ^ ": push invisible") true
-              (recovered = pre);
-            (* The stream is volatile; the straggler (or anti-entropy)
-               simply delivers again. *)
-            match Durable.apply_push d' ~source:1 u with
-            | `Applied ->
-              Alcotest.(check (option string))
-                (fault ^ ": redelivery applies")
-                (Some "pushed")
-                (Node.read (Durable.node d') "hot")
-            | `Stale -> Alcotest.fail (fault ^ ": redelivery judged stale")
-          end;
-          Durable.close d'))
-    [ ("durable.journal.before", false); ("durable.apply.before", true) ]
-
-(* Stale pushes are journaled too (replay re-judges and drops them):
-   the journal grows but the recovered state is untouched. *)
-let test_durable_stale_push_journaled_but_inert () =
-  with_temp_dir (fun dir ->
-      let remote, u = make_push_origin () in
-      let d = reopen ~dir ~id:0 ~n:2 in
-      (* Anti-entropy wins the race; the straggling push is stale. *)
-      (match Durable.pull_from d ~source:remote with
-      | Node.Pulled _ -> ()
-      | Node.Already_current -> Alcotest.fail "expected a propagation");
-      let before = Durable.journal_records d in
-      (match Durable.apply_push d ~source:1 u with
-      | `Stale -> ()
-      | `Applied -> Alcotest.fail "duplicate push applied");
-      Alcotest.(check int) "stale push journaled" (before + 1)
-        (Durable.journal_records d);
-      let served = Node.export_state (Durable.node d) in
-      Durable.close d;
-      let d = reopen ~dir ~id:0 ~n:2 in
-      Alcotest.(check bool) "replay drops the stale push again" true
-        (Node.export_state (Durable.node d) = served);
-      Durable.close d)
-
-(* With push off nothing about the journal changes: the same script
-   writes byte-identical WALs whether or not the push subsystem exists
-   in the build — pinned here so a tag renumbering or frame change
-   can't silently orphan pre-push WALs. *)
+(* The same script writes byte-identical WALs, and none of their
+   records carries the retired push tag 3 — pinned here so a tag
+   renumbering or frame change can't silently orphan older WALs. *)
 let test_wal_bytes_stable_when_push_off () =
   let run dir =
     let d = reopen ~dir ~id:0 ~n:2 in
@@ -577,6 +452,72 @@ let test_wal_bytes_stable_when_push_off () =
           Alcotest.(check bool) "no push tags in a push-off journal" true
             (String.length r > 0 && r.[0] <> '\003'))
         !seen)
+
+(* ---------- Retired journal tags ---------- *)
+
+(* Records with the layouts older builds gave tags 2 (an adopted
+   out-of-bound reply: source, item, value, IVV), 3 (a push: source,
+   item, seq, IVV, value) and 4 (a membership reshape: extend by one
+   site). *)
+let retired_records =
+  let record f =
+    Codec.Writer.with_scratch (fun w ->
+        f w;
+        Codec.Writer.contents w)
+  in
+  let int = Codec.Writer.int and string = Codec.Writer.string in
+  let ivv w = Codec.Writer.array w Codec.Writer.int [| 0; 1 |] in
+  [
+    ( 2,
+      record (fun w ->
+          int w 2;
+          int w 1;
+          string w "hot";
+          string w "h1";
+          ivv w) );
+    ( 3,
+      record (fun w ->
+          int w 3;
+          int w 1;
+          string w "hot";
+          int w 1;
+          ivv w;
+          string w "pushed") );
+    ( 4,
+      record (fun w ->
+          int w 4;
+          int w 0;
+          int w 2) );
+  ]
+
+(* No daemon wrote tags 2, 3 or 4, and replay no longer knows them: a
+   journal holding one after an update fails to open with an [Error]
+   naming the tag, never an exception, and keeps every byte. *)
+let test_durable_retired_tags_refused () =
+  List.iter
+    (fun (tag, record) ->
+      with_temp_dir (fun dir ->
+          let d = reopen ~dir ~id:0 ~n:2 in
+          Durable.update d "x" (set "v");
+          Durable.close d;
+          let path = Durable.journal_path ~dir in
+          let w = Wal.open_writer ~path in
+          Wal.append_blob w record;
+          Wal.close_writer w;
+          let read () = In_channel.with_open_bin path In_channel.input_all in
+          let before = read () in
+          let label = Printf.sprintf "tag %d" tag in
+          (match Durable.open_or_create ~dir ~id:0 ~n:2 () with
+          | Ok (d, _) ->
+            Durable.close d;
+            Alcotest.fail (label ^ ": journal opened")
+          | Error msg ->
+            Alcotest.(check string) (label ^ ": error")
+              (Printf.sprintf "corrupt journal record: unknown journal tag %d" tag)
+              msg
+          | exception e -> Alcotest.failf "%s: raised %s" label (Printexc.to_string e));
+          Alcotest.(check string) (label ^ ": journal bytes kept") before (read ())))
+    retired_records
 
 (* ---------- One record per session effect ---------- *)
 
@@ -793,19 +734,19 @@ let prop_one_pass_verdicts =
           && replay_verdict ~blobs path = reference_verdict ~blobs flipped))
 
 (* Property: crash-recovery equivalence. For any script of updates,
-   pulls, out-of-bound fetches and two-source rounds (one request
-   answered by both remotes, as the daemon's concurrent sessions do)
+   pulls and two-source rounds (one request answered by both remotes,
+   as the daemon's concurrent sessions do)
    and any crash point, a node that recovers from disk is in the same
    state as a node that executed the same operations in memory. *)
 let prop_crash_recovery_equivalence =
   QCheck2.Gen.(
-    let action = pair (int_bound 3) (int_bound 3) in
+    let action = pair (int_bound 2) (int_bound 3) in
     let gen = pair (list_size (int_range 1 25) action) (int_bound 25) in
     QCheck2.Test.make ~name:"crash recovery reproduces in-memory state" ~count:60 gen
       (fun (script, crash_at) ->
         with_temp_dir (fun dir ->
-            (* Two remote peers provide propagation and OOB sources;
-               the second mirrors the first and sometimes writes too. *)
+            (* Two remote peers provide propagation; the second
+               mirrors the first and sometimes writes too. *)
             let make_remotes () =
               let remote = Node.create ~id:1 ~n:3 () in
               Node.update remote "r1" (set "a");
@@ -825,12 +766,10 @@ let prop_crash_recovery_equivalence =
               accept ~source:1 a;
               accept ~source:2 b
             in
-            let run_step ~update ~pull ~oob ~two i (kind, rank) =
-              let item = Printf.sprintf "i%d" rank in
+            let run_step ~update ~pull ~two i (kind, rank) =
               match kind with
-              | 0 -> update item (set (Printf.sprintf "v%d" i))
+              | 0 -> update (Printf.sprintf "i%d" rank) (set (Printf.sprintf "v%d" i))
               | 1 -> pull ()
-              | 2 -> oob item
               | _ -> two i rank
             in
             (* Reference: plain in-memory node. *)
@@ -841,10 +780,6 @@ let prop_crash_recovery_equivalence =
                  ~update:(fun item op -> Node.update reference item op)
                  ~pull:(fun () ->
                    ignore (Node.pull ~recipient:reference ~source:(fst remotes_a) ()))
-                 ~oob:(fun item ->
-                   ignore
-                     (Node.fetch_out_of_bound ~recipient:reference ~source:(fst remotes_a)
-                        item))
                  ~two:
                    (two_sources
                       ~accept:(fun ~source reply ->
@@ -864,8 +799,6 @@ let prop_crash_recovery_equivalence =
                 run_step
                   ~update:(fun item op -> Durable.update !d item op)
                   ~pull:(fun () -> ignore (Durable.pull_from !d ~source:(fst remotes_b)))
-                  ~oob:(fun item ->
-                    ignore (Durable.fetch_out_of_bound_from !d ~source:(fst remotes_b) item))
                   ~two:
                     (two_sources
                        ~accept:(fun ~source reply -> Durable.accept_reply !d ~source reply)
@@ -917,8 +850,6 @@ let suite =
       test_durable_checkpoint_resets_journal;
     Alcotest.test_case "durable: recover accepted propagation" `Quick
       test_durable_recovers_accepted_propagation;
-    Alcotest.test_case "durable: recover OOB and aux" `Quick
-      test_durable_recovers_oob_and_aux;
     Alcotest.test_case "durable: exact seq reproduction" `Quick
       test_durable_exact_seq_reproduction;
     Alcotest.test_case "durable: rejects mismatched identity" `Quick
@@ -927,14 +858,10 @@ let suite =
       test_durable_torn_journal_recovers_prefix;
     Alcotest.test_case "durable: appends after a torn tail replay" `Quick
       test_durable_appends_after_torn_tail;
-    Alcotest.test_case "durable: recover applied push" `Quick
-      test_durable_recovers_applied_push;
-    Alcotest.test_case "durable: crash mid-push is atomic" `Quick
-      test_durable_crash_mid_push;
-    Alcotest.test_case "durable: stale push journaled but inert" `Quick
-      test_durable_stale_push_journaled_but_inert;
     Alcotest.test_case "wal bytes stable with push off" `Quick
       test_wal_bytes_stable_when_push_off;
+    Alcotest.test_case "durable: retired journal tags fail to open" `Quick
+      test_durable_retired_tags_refused;
     Alcotest.test_case "durable: duplicate reply not journaled" `Quick
       (test_durable_elides_duplicate_reply ~shards:1);
     Alcotest.test_case "durable: duplicate reply not journaled (sharded)" `Quick

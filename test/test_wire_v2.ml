@@ -293,10 +293,6 @@ let fuzz_blobs =
        }
      in
      let baseline = Vv.of_array [| 1; 1 |] in
-     let oob_req = { Message.item = "x" } in
-     let oob_reply =
-       { Message.item = "x"; value = "v"; ivv = Vv.of_array [| 1; 0 |] }
-     in
      let a = Node.create ~id:0 ~n:2 () in
      let b = Node.create ~id:1 ~n:2 () in
      Node.update a "x" (set "v1");
@@ -317,15 +313,11 @@ let fuzz_blobs =
      [
        ("v1 request", encode (fun w -> Wire.encode_propagation_request w req));
        ("v1 reply", encode (fun w -> Wire.encode_propagation_reply w reply));
-       ("v1 oob request", encode (fun w -> Wire.encode_oob_request w oob_req));
-       ("v1 oob reply", encode (fun w -> Wire.encode_oob_reply w oob_reply));
        ("v2 request", encode (fun w -> Wire_v2.encode_propagation_request w req));
        ( "v2 delta request",
          encode (fun w ->
              Wire_v2.encode_propagation_request w ~baseline:(1, baseline) req) );
        ("v2 reply", encode (fun w -> Wire_v2.encode_propagation_reply w reply));
-       ("v2 oob request", encode (fun w -> Wire_v2.encode_oob_request w oob_req));
-       ("v2 oob reply", encode (fun w -> Wire_v2.encode_oob_reply w oob_reply));
        ("frame request", frame_req);
        ("frame reply", frame_reply);
        ("frame nak", frame_nak);
@@ -342,17 +334,12 @@ let feed_all_decoders blob =
           (Wire.decode_propagation_request (Codec.Reader.create blob)));
       (fun () ->
         ignore (Wire.decode_propagation_reply (Codec.Reader.create blob)));
-      (fun () -> ignore (Wire.decode_oob_request (Codec.Reader.create blob)));
-      (fun () -> ignore (Wire.decode_oob_reply (Codec.Reader.create blob)));
       (fun () ->
         ignore
           (Wire_v2.decode_propagation_request (Codec.Reader.create blob) ~n:2
              ~resolve:(fun _ -> Some (Vv.of_array [| 1; 1 |]))));
       (fun () ->
         ignore (Wire_v2.decode_propagation_reply (Codec.Reader.create blob) ~n:2));
-      (fun () -> ignore (Wire_v2.decode_oob_request (Codec.Reader.create blob)));
-      (fun () ->
-        ignore (Wire_v2.decode_oob_reply (Codec.Reader.create blob) ~n:2));
       (fun () ->
         let node = Node.create ~id:0 ~n:2 () in
         ignore (Frame.decode_request node ~src:1 blob));
@@ -381,7 +368,8 @@ let prop_fuzz_bit_flips =
       ~name:"bit-flipped frames: every decoder returns or raises Corrupt"
       ~count:400 gen
       (fun (which, position, mask) ->
-        let _, blob = List.nth (Lazy.force fuzz_blobs) (which mod 13) in
+        let blobs = Lazy.force fuzz_blobs in
+        let _, blob = List.nth blobs (which mod List.length blobs) in
         let mutated = Bytes.of_string blob in
         let position = position mod Bytes.length mutated in
         Bytes.set mutated position
